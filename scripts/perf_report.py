@@ -2,7 +2,7 @@
 """Render an acpsim run report (+ optional bench results) as markdown.
 
 Inputs:
-  --report REPORT.json     an "acp.report.v2" file written by
+  --report REPORT.json     an "acp.report.v3" file written by
                            `acpsim --profile --report-json REPORT.json`.
                            Validated strictly; exit 1 on schema mismatch.
   --bench BENCH_PERF.json  optional "acp.perf.v1" file from a fresh
@@ -13,11 +13,13 @@ Inputs:
                            the bench table.
   -o OUT.md                output path (default: stdout).
 
-The markdown answers "where did the time go": kernel phase percentages
-(evaluate / stage / merge / apply / barrier), per-shard spans with the
-imbalance histogram, thread-pool wake cost, and per-channel bandwidth —
-plus the
-ns/op trajectory vs the checked-in baseline when bench files are given.
+The markdown answers "where did the time go": the slice timer's parts on
+the kernel thread (engine.kernel.{adversary,players,commit,accounting}
+plus the leftover), the parallel kernel's lane-summed work, wake,
+barrier and merge with the shard-imbalance histogram, thread-pool wake
+cost, and per-channel bandwidth — plus the ns/op trajectory vs the
+checked-in baseline when bench files are given. Every number comes from
+the report's registry sections (timers, histograms) and bandwidth.
 CI uploads the result as an artifact (see perf-smoke in ci.yml).
 
 Stdlib only. Exit 0 = rendered, 1 = invalid/unreadable input.
@@ -44,7 +46,7 @@ def load(path):
 # ---------------------------------------------------------------- schema
 
 def validate_report(doc, path):
-    """Strict acp.report.v2 check: every section the renderer touches
+    """Strict acp.report.v3 check: every section the renderer touches
     must be present with the right shape. Returns a list of problems."""
     errors = []
 
@@ -55,10 +57,12 @@ def validate_report(doc, path):
             return None
         return value
 
-    if doc.get("schema") != "acp.report.v2":
+    if doc.get("schema") != "acp.report.v3":
         print(f"perf_report: {path}: schema is {doc.get('schema')!r}, "
-              "want 'acp.report.v2'", file=sys.stderr)
+              "want 'acp.report.v3'", file=sys.stderr)
         return ["schema"]
+    if "phases" in doc:
+        errors.append("$.phases: not part of acp.report.v3")
     config = need(doc, "config", dict, "$")
     if config is not None:
         for key in ("n", "m", "trials", "seed", "engine", "threads",
@@ -66,39 +70,18 @@ def validate_report(doc, path):
             need(config, key, (int, float, str), "config")
     need(doc, "metrics", dict, "$")
     need(doc, "counters", dict, "$")
-    phases = need(doc, "phases", dict, "$")
-    if phases:  # non-empty: a profiled run — check the full shape
-        rounds = need(phases, "rounds", dict, "phases")
-        if rounds is not None:
-            need(rounds, "parallel", int, "phases.rounds")
-            need(rounds, "sequential", int, "phases.rounds")
-        evaluate = need(phases, "engine.kernel.evaluate", dict, "phases")
-        if evaluate is not None:
-            need(evaluate, "total_ns", int, "phases.engine.kernel.evaluate")
-            shards = need(evaluate, "shards", list,
-                          "phases.engine.kernel.evaluate")
-            for i, shard in enumerate(shards or []):
-                for key in ("shard", "rounds", "evaluate_ns", "stage_ns",
-                            "wake_ns"):
-                    need(shard, key, int, f"phases.shards[{i}]")
-        for section in ("engine.kernel.stage", "engine.kernel.apply",
-                        "engine.kernel.merge", "engine.kernel.barrier"):
-            block = need(phases, section, dict, "phases")
-            if block is not None:
-                need(block, "total_ns", int, f"phases.{section}")
-        imbalance = need(phases, "imbalance", dict, "phases")
-        if imbalance is not None:
-            need(imbalance, "slowest_shard_ns", int, "phases.imbalance")
-            need(imbalance, "fastest_shard_ns", int, "phases.imbalance")
-            histogram = need(imbalance, "ratio_histogram", dict,
-                             "phases.imbalance")
-            if histogram is not None:
-                need(histogram, "buckets", list,
-                     "phases.imbalance.ratio_histogram")
-        pool = need(phases, "pool", dict, "phases")
-        if pool is not None:
-            for key in ("tasks", "wake_ns", "max_queue_depth"):
-                need(pool, key, int, "phases.pool")
+    need(doc, "gauges", dict, "$")
+    timers = need(doc, "timers", dict, "$")
+    for name, timer in (timers or {}).items():
+        for key in ("count", "total_ns"):
+            need(timer, key, int, f"timers.{name}")
+    histograms = need(doc, "histograms", dict, "$")
+    for name, histogram in (histograms or {}).items():
+        for key in ("lo", "hi"):
+            need(histogram, key, (int, float), f"histograms.{name}")
+        need(histogram, "buckets", list, f"histograms.{name}")
+        for key in ("underflow", "overflow"):
+            need(histogram, key, int, f"histograms.{name}")
     bandwidth = need(doc, "bandwidth", dict, "$")
     if bandwidth:  # non-empty: metered run
         need(bandwidth, "engine.io.bits_read", int, "bandwidth")
@@ -147,79 +130,108 @@ def render_config(config, out):
     out.append("")
 
 
-def render_phases(phases, out):
-    out.append("## Kernel phases\n")
-    if not phases:
-        out.append("_Profiling was off for this run (no `--profile`)._\n")
+# The slice timers that split into parts on the kernel thread.
+SLICE_PARTS = (
+    ("engine.sync.round", ("engine.kernel.adversary", "engine.kernel.players",
+                           "engine.kernel.commit",
+                           "engine.kernel.accounting")),
+    ("engine.async.step", ("engine.kernel.adversary", "engine.kernel.players",
+                           "engine.kernel.commit",
+                           "engine.kernel.accounting")),
+    ("engine.gossip.round", ("engine.gossip.exchange", "engine.gossip.step",
+                             "engine.gossip.commit")),
+)
+
+
+def timer_ns(timers, name):
+    return timers.get(name, {}).get("total_ns", 0)
+
+
+def timer_count(timers, name):
+    return timers.get(name, {}).get("count", 0)
+
+
+def render_histogram(histogram, label, out):
+    buckets = histogram["buckets"]
+    total = sum(buckets) + histogram["underflow"] + histogram["overflow"]
+    if not total or not buckets:
         return
-    rounds = phases["rounds"]
-    evaluate_ns = phases["engine.kernel.evaluate"]["total_ns"]
-    stage_ns = phases["engine.kernel.stage"]["total_ns"]
-    apply_ns = phases["engine.kernel.apply"]["total_ns"]
-    merge_ns = phases["engine.kernel.merge"]["total_ns"]
-    barrier_ns = phases["engine.kernel.barrier"]["total_ns"]
-    total = evaluate_ns + stage_ns + apply_ns + merge_ns + barrier_ns
-    out.append(f"Rounds: **{rounds['parallel']} parallel**, "
-               f"**{rounds['sequential']} sequential**. Accounted kernel "
-               f"time: **{fmt_ns(total)}**.\n")
-    out.append("| phase | time | share |")
-    out.append("|---|---:|---:|")
-    for name, ns in (("evaluate (shard workers)", evaluate_ns),
-                     ("stage (shard workers)", stage_ns),
-                     ("apply (sequential rounds)", apply_ns),
-                     ("merge (canonical-order fold)", merge_ns),
-                     ("barrier (leader wait)", barrier_ns)):
-        pct = 100.0 * ns / total if total else 0.0
-        out.append(f"| {name} | {fmt_ns(ns)} | {pct:.1f}% |")
+    lo, hi = histogram["lo"], histogram["hi"]
+    width = (hi - lo) / len(buckets)
+    out.append(f"| {label} | samples | |")
+    out.append("|---|---:|---|")
+    if histogram["underflow"]:
+        out.append(f"| < {lo:g} | {histogram['underflow']} | |")
+    for i, count in enumerate(buckets):
+        if count == 0:
+            continue
+        bar = "█" * max(1, round(20 * count / total))
+        out.append(f"| {lo + i * width:.2f}–{lo + (i + 1) * width:.2f} "
+                   f"| {count} | {bar} |")
+    if histogram["overflow"]:
+        out.append(f"| ≥ {hi:g} | {histogram['overflow']} | |")
     out.append("")
 
-    shards = phases["engine.kernel.evaluate"]["shards"]
-    if shards:
-        out.append("### Per-shard spans\n")
-        out.append("| shard | rounds | evaluate | stage | wake latency |")
-        out.append("|---:|---:|---:|---:|---:|")
-        for shard in shards:
-            out.append(f"| {shard['shard']} | {shard['rounds']} | "
-                       f"{fmt_ns(shard['evaluate_ns'])} | "
-                       f"{fmt_ns(shard['stage_ns'])} | "
-                       f"{fmt_ns(shard['wake_ns'])} |")
-        out.append("")
 
-    imbalance = phases["imbalance"]
-    slowest = imbalance["slowest_shard_ns"]
-    fastest = imbalance["fastest_shard_ns"]
-    out.append("### Shard imbalance\n")
-    if fastest > 0:
-        out.append(f"Summed critical path: slowest shard {fmt_ns(slowest)}, "
-                   f"fastest {fmt_ns(fastest)} "
-                   f"({slowest / fastest:.2f}x).\n")
-    histogram = imbalance["ratio_histogram"]
-    buckets = histogram["buckets"]
-    total_samples = sum(buckets) + histogram.get("underflow", 0) \
-        + histogram.get("overflow", 0)
-    if total_samples:
-        lo, hi = histogram["lo"], histogram["hi"]
-        width = (hi - lo) / len(buckets)
-        out.append("Per-round slowest/fastest ratio distribution:\n")
-        out.append("| ratio | rounds | |")
-        out.append("|---|---:|---|")
-        for i, count in enumerate(buckets):
-            if count == 0:
-                continue
-            bar = "█" * max(1, round(20 * count / total_samples))
-            out.append(f"| {lo + i * width:.2f}–{lo + (i + 1) * width:.2f} "
-                       f"| {count} | {bar} |")
-        if histogram.get("overflow"):
-            out.append(f"| > {hi:.1f} | {histogram['overflow']} | |")
+def render_kernel(timers, histograms, config, out):
+    out.append("## Kernel seams\n")
+    rendered = False
+    for slice_name, parts in SLICE_PARTS:
+        slice_ns = timer_ns(timers, slice_name)
+        if timer_count(timers, slice_name) == 0:
+            continue
+        rendered = True
+        out.append(f"`{slice_name}`: **{timer_count(timers, slice_name)} "
+                   f"slices**, **{fmt_ns(slice_ns)}** on the kernel thread."
+                   "\n")
+        out.append("| part | time | share |")
+        out.append("|---|---:|---:|")
+        parts_ns = 0
+        for part in parts:
+            ns = timer_ns(timers, part)
+            parts_ns += ns
+            pct = 100.0 * ns / slice_ns if slice_ns else 0.0
+            out.append(f"| {part} | {fmt_ns(ns)} | {pct:.1f}% |")
+        leftover = max(0, slice_ns - parts_ns)
+        pct = 100.0 * leftover / slice_ns if slice_ns else 0.0
+        out.append(f"| leftover | {fmt_ns(leftover)} | {pct:.1f}% |")
         out.append("")
+    if not rendered:
+        out.append("_No slice timer recorded (metrics were off for this "
+                   "run)._\n")
+        return
 
-    pool = phases["pool"]
-    out.append("### Thread pool\n")
-    mean_wake = pool["wake_ns"] / pool["tasks"] if pool["tasks"] else 0
-    out.append(f"{pool['tasks']} tasks, total submit→start latency "
-               f"{fmt_ns(pool['wake_ns'])} "
-               f"(mean {fmt_ns(int(mean_wake))}/task), "
-               f"max queue depth {pool['max_queue_depth']}.\n")
+    if timer_count(timers, "engine.kernel.work"):
+        lanes = config.get("engine_threads_resolved", "?")
+        out.append(f"### Parallel kernel ({lanes} lanes)\n")
+        out.append("| seam | time | count |")
+        out.append("|---|---:|---:|")
+        for name, what in (
+                ("engine.kernel.work", "lane-summed evaluate+stage, "
+                                       "per claimed shard"),
+                ("engine.kernel.wake", "round release → a lane's first "
+                                       "claim"),
+                ("engine.kernel.barrier", "leader wait, kernel thread"),
+                ("engine.kernel.merge", "canonical-order fold, kernel "
+                                        "thread")):
+            out.append(f"| {name} ({what}) | "
+                       f"{fmt_ns(timer_ns(timers, name))} | "
+                       f"{timer_count(timers, name)} |")
+        out.append("")
+        imbalance = histograms.get("engine.kernel.imbalance")
+        if imbalance:
+            out.append("Per-round slowest/fastest shard ratio:\n")
+            render_histogram(imbalance, "ratio", out)
+
+    if timer_count(timers, "concurrency.pool.wake"):
+        tasks = timer_count(timers, "concurrency.pool.wake")
+        wake = timer_ns(timers, "concurrency.pool.wake")
+        out.append("### Thread pool\n")
+        out.append(f"{tasks} tasks, total submit→start latency "
+                   f"{fmt_ns(wake)} (mean {fmt_ns(wake // tasks)}/task).\n")
+        depth = histograms.get("concurrency.pool.queue_depth")
+        if depth:
+            render_histogram(depth, "queue depth", out)
 
 
 def render_bandwidth(bandwidth, out):
@@ -334,7 +346,7 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--report", help="acp.report.v2 run report")
+    parser.add_argument("--report", help="acp.report.v3 run report")
     parser.add_argument("--bench", help="acp.perf.v1 BENCH_PERF.json")
     parser.add_argument("--baseline", help="baseline BENCH_PERF.json for "
                         "the delta column (requires --bench)")
@@ -350,7 +362,8 @@ def main():
         if validate_report(report, args.report):
             return 1
         render_config(report["config"], out)
-        render_phases(report["phases"], out)
+        render_kernel(report["timers"], report["histograms"],
+                      report["config"], out)
         render_bandwidth(report["bandwidth"], out)
     if args.bench:
         bench = load(args.bench)

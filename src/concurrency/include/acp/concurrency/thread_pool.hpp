@@ -13,6 +13,8 @@
 #include <thread>
 #include <vector>
 
+#include "acp/obs/metrics.hpp"
+
 namespace acp {
 
 class ThreadPool {
@@ -29,8 +31,10 @@ class ThreadPool {
 
   /// Enqueue a task. Tasks must not throw (they run detached from any
   /// future; trial runners catch and record their own failures).
-  /// With PhaseProfiler enabled the submit->start latency and queue
-  /// depth are recorded; disabled, the only overhead is a relaxed load.
+  /// With the metrics registry enabled the submit->start latency
+  /// (concurrency.pool.wake) and the queue depth after the push
+  /// (concurrency.pool.queue_depth) are recorded; disabled, the only
+  /// overhead is a relaxed load.
   void submit(std::function<void()> task);
 
   /// Block until every submitted task has finished.
@@ -42,9 +46,9 @@ class ThreadPool {
 
  private:
   /// Queue entry: the task plus its submit stamp. The stamp rides the
-  /// entry (default time_point when profiling is off) so measuring wake
-  /// latency never re-wraps the task in a second std::function — profiled
-  /// and unprofiled runs do identical allocations.
+  /// entry (default time_point when metrics are off) so measuring wake
+  /// latency never re-wraps the task in a second std::function — timed
+  /// and untimed runs do identical allocations.
   struct Pending {
     std::function<void()> task;
     std::chrono::steady_clock::time_point submitted{};
@@ -59,6 +63,8 @@ class ThreadPool {
   std::size_t in_flight_ = 0;
   bool stopping_ = false;
   std::vector<std::thread> workers_;
+  obs::TimerStat& wake_;
+  obs::HistogramMetric& queue_depth_;
 };
 
 }  // namespace acp

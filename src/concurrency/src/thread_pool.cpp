@@ -2,7 +2,6 @@
 
 #include <chrono>
 
-#include "acp/obs/profiler.hpp"
 #include "acp/util/contracts.hpp"
 
 namespace acp {
@@ -15,7 +14,10 @@ std::size_t ThreadPool::resolve(std::size_t requested) noexcept {
   return hw == 0 ? 1 : hw;
 }
 
-ThreadPool::ThreadPool(std::size_t num_threads) {
+ThreadPool::ThreadPool(std::size_t num_threads)
+    : wake_(obs::MetricsRegistry::global().timer("concurrency.pool.wake")),
+      queue_depth_(obs::MetricsRegistry::global().histogram(
+          "concurrency.pool.queue_depth", 0.0, 64.0, 64)) {
   ACP_EXPECTS(num_threads >= 1);
   workers_.reserve(num_threads);
   for (std::size_t i = 0; i < num_threads; ++i) {
@@ -34,23 +36,23 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::submit(std::function<void()> task) {
   ACP_EXPECTS(task != nullptr);
-  const bool profiled = obs::PhaseProfiler::enabled();
+  const bool timed = obs::MetricsRegistry::enabled();
   // The submit stamp travels in the queue entry (default-constructed when
-  // profiling is off); the worker reads the clock again at pop time. No
-  // re-wrapping, so profiling adds no allocation or indirect call to the
+  // metrics are off); the worker reads the clock again at pop time. No
+  // re-wrapping, so timing adds no allocation or indirect call to the
   // task itself.
-  Pending pending{std::move(task), profiled
+  Pending pending{std::move(task), timed
                                        ? std::chrono::steady_clock::now()
                                        : std::chrono::steady_clock::time_point{}};
+  std::size_t depth = 0;
   {
     const std::lock_guard<std::mutex> lock(mutex_);
     ACP_EXPECTS(!stopping_);
     queue_.push(std::move(pending));
-    if (profiled) {
-      obs::PhaseProfiler::global().record_queue_depth(queue_.size());
-    }
+    depth = queue_.size();
   }
   work_available_.notify_one();
+  if (timed) queue_depth_.observe(static_cast<double>(depth));
 }
 
 void ThreadPool::wait_idle() {
@@ -71,8 +73,8 @@ void ThreadPool::worker_loop() {
       ++in_flight_;
     }
     if (pending.submitted != std::chrono::steady_clock::time_point{}) {
-      // Stamped at submit with profiling on: report wake/handoff latency.
-      obs::PhaseProfiler::global().record_task_wake(static_cast<std::uint64_t>(
+      // Stamped at submit with metrics on: report wake/handoff latency.
+      wake_.record(static_cast<std::uint64_t>(
           std::chrono::duration_cast<std::chrono::nanoseconds>(
               std::chrono::steady_clock::now() - pending.submitted)
               .count()));

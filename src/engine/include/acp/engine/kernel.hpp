@@ -48,6 +48,14 @@
 // protocol's parallel_choose_safe() contract holds* (both per-player
 // hooks confined to per-player state; see protocol.hpp).
 //
+// Timing happens at the kernel's seams, behind MetricsRegistry's switch:
+// run_kernel splits each slice (the engine's slice timer) into
+// engine.kernel.{adversary,players,commit,accounting} on the kernel
+// thread, and ParallelAllActivePolicy adds one clock pair per claimed
+// shard (engine.kernel.work, wake, imbalance) plus its barrier and merge.
+// No clock is ever read per player: a per-player clock pair distorts what
+// it measures, so evaluate and stage are not timed apart.
+//
 // Stepper concept:
 //   void initialize(const WorldView&, std::size_t n);
 //   Round churn_clock(Round slice);          // clock arrivals/departures run on
@@ -71,6 +79,7 @@
 //                                          // canonical order
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -85,7 +94,7 @@
 #include "acp/billboard/service.hpp"
 #include "acp/concurrency/round_gang.hpp"
 #include "acp/obs/bandwidth.hpp"
-#include "acp/obs/profiler.hpp"
+#include "acp/obs/metrics.hpp"
 #include "acp/engine/accounting.hpp"
 #include "acp/engine/adversary.hpp"
 #include "acp/engine/observer.hpp"
@@ -201,46 +210,16 @@ class AllActivePolicy {
     still_active_.clear();
     still_active_.reserve(roster.active().size());
     sink_.reset();
-    if (obs::PhaseProfiler::enabled()) {
-      run_slice_profiled(roster, evaluate, stage);
-    } else {
-      for (PlayerId p : roster.active()) {
-        if (!stage(p, evaluate(p), sink_)) {
-          still_active_.push_back(p);  // survivors keep order
-        }
-      }
-      roster.swap_active(still_active_);
-    }
-    fold(sink_);
-  }
-
- private:
-  /// Profiled variant: identical step order, with the evaluate and
-  /// staged-apply halves of every step clocked separately so the
-  /// sequential baseline shows up in the same phase breakdown as the
-  /// parallel kernel.
-  template <class Evaluate, class Stage>
-  void run_slice_profiled(PlayerRoster& roster, Evaluate&& evaluate,
-                          Stage&& stage) {
-    using Clock = std::chrono::steady_clock;
-    std::uint64_t evaluate_ns = 0;
-    std::uint64_t apply_ns = 0;
     for (PlayerId p : roster.active()) {
-      const auto before = Clock::now();
-      const ProbeEval eval = evaluate(p);
-      const auto evaluated = Clock::now();
-      const bool halted = stage(p, eval, sink_);
-      apply_ns += kernel_detail::ns_between(evaluated, Clock::now());
-      evaluate_ns += kernel_detail::ns_between(before, evaluated);
-      if (!halted) {
+      if (!stage(p, evaluate(p), sink_)) {
         still_active_.push_back(p);  // survivors keep order
       }
     }
     roster.swap_active(still_active_);
-    obs::PhaseProfiler::global().record_sequential_round(evaluate_ns,
-                                                         apply_ns);
+    fold(sink_);
   }
 
+ private:
   StageSink sink_;
   std::vector<PlayerId> still_active_;
 };
@@ -257,7 +236,15 @@ class ParallelAllActivePolicy {
  public:
   static constexpr bool kAllActive = true;
 
-  explicit ParallelAllActivePolicy(RoundGang& gang) : gang_(&gang) {}
+  explicit ParallelAllActivePolicy(RoundGang& gang)
+      : gang_(&gang),
+        work_(obs::MetricsRegistry::global().timer("engine.kernel.work")),
+        wake_(obs::MetricsRegistry::global().timer("engine.kernel.wake")),
+        barrier_(
+            obs::MetricsRegistry::global().timer("engine.kernel.barrier")),
+        merge_(obs::MetricsRegistry::global().timer("engine.kernel.merge")),
+        imbalance_(obs::MetricsRegistry::global().histogram(
+            "engine.kernel.imbalance", 1.0, 8.0, 28)) {}
 
   template <class Evaluate, class Stage, class Fold>
   void run_slice(PlayerRoster& roster, Rng& /*scheduler_rng*/,
@@ -280,7 +267,7 @@ class ParallelAllActivePolicy {
     // depends only on the shard's players, and the fold order is fixed.
     const std::size_t shards = std::min(count, gang_->lanes() * kShardsPerLane);
 
-    const bool profiled = obs::PhaseProfiler::enabled();
+    const bool timed = obs::MetricsRegistry::enabled();
     // The kernel thread's attribution sink, handed into the lanes so
     // reads metered inside evaluate()/stage() land in this run's
     // per-player slots. Null when bandwidth metering is off.
@@ -289,10 +276,10 @@ class ParallelAllActivePolicy {
 
     if (sinks_.size() < shards) sinks_.resize(shards);
     errors_.assign(shards, nullptr);
-    shard_spans_.assign(profiled ? shards : 0, obs::ShardSpan{});
+    shard_ns_.assign(timed ? shards : 0, 0);
     next_shard_.store(0, std::memory_order_relaxed);
 
-    const auto released = profiled ? Clock::now() : Clock::time_point{};
+    const auto released = timed ? Clock::now() : Clock::time_point{};
 
     auto work = [&](std::size_t /*lane*/) {
       const obs::BandwidthMeter::SinkScope io_scope(io_sink);
@@ -305,39 +292,24 @@ class ParallelAllActivePolicy {
         sink.reset();
         const std::size_t begin = s * count / shards;
         const std::size_t end = (s + 1) * count / shards;
+        const auto started = timed ? Clock::now() : Clock::time_point{};
+        if (timed && first_claim) {
+          wake_.record(kernel_detail::ns_between(released, started));
+        }
+        first_claim = false;
         try {
-          if (profiled) {
-            // shard_spans_[s] has a single writer (the claiming lane) and
-            // is read on the kernel thread only after the round barrier.
-            const auto started = Clock::now();
-            if (first_claim) {
-              shard_spans_[s].wake_ns =
-                  kernel_detail::ns_between(released, started);
-            }
-            std::uint64_t evaluate_ns = 0;
-            std::uint64_t stage_ns = 0;
-            for (std::size_t i = begin; i < end; ++i) {
-              const PlayerId p = active[i];
-              const auto before = Clock::now();
-              const ProbeEval eval = evaluate(p);
-              const auto evaluated = Clock::now();
-              const bool halted = stage(p, eval, sink);
-              stage_ns += kernel_detail::ns_between(evaluated, Clock::now());
-              evaluate_ns += kernel_detail::ns_between(before, evaluated);
-              if (!halted) sink.survivors.push_back(p);
-            }
-            shard_spans_[s].evaluate_ns = evaluate_ns;
-            shard_spans_[s].stage_ns = stage_ns;
-          } else {
-            for (std::size_t i = begin; i < end; ++i) {
-              const PlayerId p = active[i];
-              if (!stage(p, evaluate(p), sink)) sink.survivors.push_back(p);
-            }
+          for (std::size_t i = begin; i < end; ++i) {
+            const PlayerId p = active[i];
+            if (!stage(p, evaluate(p), sink)) sink.survivors.push_back(p);
           }
         } catch (...) {
           errors_[s] = std::current_exception();  // gang jobs must not throw
         }
-        first_claim = false;
+        // Single writer (the claiming lane); read on the kernel thread
+        // only after the round barrier.
+        if (timed) {
+          shard_ns_[s] = kernel_detail::ns_between(started, Clock::now());
+        }
       }
     };
     using Work = decltype(work);
@@ -346,11 +318,10 @@ class ParallelAllActivePolicy {
       (*static_cast<Work*>(ctx))(lane);
     });
     work(0);  // the leader is lane 0
-    const auto barrier_entered = profiled ? Clock::now() : Clock::time_point{};
-    gang_->finish_round();
-    const std::uint64_t barrier_ns =
-        profiled ? kernel_detail::ns_between(barrier_entered, Clock::now())
-                 : 0;
+    {
+      const obs::ScopedTimer timed_barrier(barrier_);
+      gang_->finish_round();
+    }
 
     for (const std::exception_ptr& error : errors_) {
       if (error) std::rethrow_exception(error);
@@ -360,18 +331,17 @@ class ParallelAllActivePolicy {
     // roster order (shards are contiguous count-only splits), so shared
     // totals, the honest post sequence and the survivor list come out
     // bit-identical to the sequential policy at any thread count.
-    const auto merge_started = profiled ? Clock::now() : Clock::time_point{};
-    for (std::size_t s = 0; s < shards; ++s) {
-      fold(sinks_[s]);
-      still_active_.insert(still_active_.end(), sinks_[s].survivors.begin(),
-                           sinks_[s].survivors.end());
+    {
+      const obs::ScopedTimer timed_merge(merge_);
+      for (std::size_t s = 0; s < shards; ++s) {
+        fold(sinks_[s]);
+        still_active_.insert(still_active_.end(),
+                             sinks_[s].survivors.begin(),
+                             sinks_[s].survivors.end());
+      }
+      roster.swap_active(still_active_);
     }
-    roster.swap_active(still_active_);
-    if (profiled) {
-      obs::PhaseProfiler::global().record_parallel_round(
-          shard_spans_, barrier_ns,
-          kernel_detail::ns_between(merge_started, Clock::now()));
-    }
+    if (timed) record_shard_spans();
   }
 
  private:
@@ -380,10 +350,33 @@ class ParallelAllActivePolicy {
   /// fetch_add) stays invisible next to thousands of player steps.
   static constexpr std::size_t kShardsPerLane = 4;
 
+  /// Lane work summed over shards, and the round's slowest/fastest shard
+  /// ratio — the quantity the barrier waits on.
+  void record_shard_spans() {
+    std::uint64_t slowest = 0;
+    std::uint64_t fastest = UINT64_MAX;
+    for (const std::uint64_t ns : shard_ns_) {
+      work_.record(ns);
+      slowest = std::max(slowest, ns);
+      fastest = std::min(fastest, ns);
+    }
+    if (shard_ns_.size() >= 2 && fastest > 0) {
+      imbalance_.observe(static_cast<double>(slowest) /
+                         static_cast<double>(fastest));
+    }
+  }
+
   RoundGang* gang_;
+  obs::TimerStat& work_;
+  obs::TimerStat& wake_;
+  obs::TimerStat& barrier_;
+  obs::TimerStat& merge_;
+  obs::HistogramMetric& imbalance_;
   std::vector<StageSink> sinks_;
   std::vector<std::exception_ptr> errors_;
-  std::vector<obs::ShardSpan> shard_spans_;
+  /// Per-shard evaluate+stage span of this round; filled only while the
+  /// registry is enabled.
+  std::vector<std::uint64_t> shard_ns_;
   std::vector<PlayerId> still_active_;
   /// Own cache line: every lane hammers this cursor while the leader's
   /// other members stay read-mostly.
@@ -470,8 +463,15 @@ RunResult run_kernel(const World& world, const Population& population,
   // disabled). Folded into the global meter when the run finishes.
   const obs::BandwidthMeter::RunScope io_run(n);
 
-  obs::TimerStat& slice_timer =
-      obs::MetricsRegistry::global().timer(spec.slice_timer);
+  // The slice timer and its parts on the kernel thread. The parts plus a
+  // leftover (churn, begin_slice, on_active_roster) add up to the slice.
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  obs::TimerStat& slice_timer = registry.timer(spec.slice_timer);
+  obs::TimerStat& adversary_timer = registry.timer("engine.kernel.adversary");
+  obs::TimerStat& players_timer = registry.timer("engine.kernel.players");
+  obs::TimerStat& commit_timer = registry.timer("engine.kernel.commit");
+  obs::TimerStat& accounting_timer =
+      registry.timer("engine.kernel.accounting");
 
   std::vector<Post> slice_posts;
 
@@ -503,11 +503,14 @@ RunResult run_kernel(const World& world, const Population& population,
       stepper.on_active_roster(slice, roster.active(), streams.scheduler);
     }
 
-    slice_posts.clear();
-    adversary.plan_round(
-        AdversaryContext{world, population, slice, billboard}, slice_posts,
-        streams.adversary);
-    kernel_detail::validate_adversary_posts(population, slice_posts, slice);
+    {
+      const obs::ScopedTimer timed_adversary(adversary_timer);
+      slice_posts.clear();
+      adversary.plan_round(
+          AdversaryContext{world, population, slice, billboard}, slice_posts,
+          streams.adversary);
+      kernel_detail::validate_adversary_posts(population, slice_posts, slice);
+    }
 
     std::size_t probes_this_slice = 0;
 
@@ -577,13 +580,20 @@ RunResult run_kernel(const World& world, const Population& population,
                          sink.posts.end());
     };
 
-    policy.run_slice(roster, streams.scheduler, evaluate, stage, fold);
+    {
+      const obs::ScopedTimer timed_players(players_timer);
+      policy.run_slice(roster, streams.scheduler, evaluate, stage, fold);
+    }
 
     // Commit from the staging buffer and keep its capacity: `slice_posts`
     // is cleared (not replaced) at the top of the loop, so no engine
     // reallocates a post vector per slice.
-    board_service->commit_round_from(slice, slice_posts);
+    {
+      const obs::ScopedTimer timed_commit(commit_timer);
+      board_service->commit_round_from(slice, slice_posts);
+    }
 
+    const obs::ScopedTimer timed_accounting(accounting_timer);
     if (stepper.wants_halt_all(slice)) {
       for (PlayerId p : roster.active()) accounting.record_satisfied(p, slice);
       roster.halt_all();

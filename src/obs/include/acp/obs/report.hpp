@@ -1,12 +1,12 @@
 // RunReport — a machine-readable summary of one experiment invocation:
 // the configuration that produced it, one stats Summary per measured
-// metric, the metrics-registry totals (counters, gauges, timers,
-// histograms) accumulated during the run, and — when profiling was on —
-// the kernel phase breakdown and bandwidth totals.
+// metric, one metrics-registry snapshot (counters, gauges, timers,
+// histograms) taken after the run, and — when bandwidth metering was on —
+// the bandwidth totals.
 //
-// Serialized as versioned JSON ("acp.report.v2"):
+// Serialized as versioned JSON ("acp.report.v3"):
 //   {
-//     "schema": "acp.report.v2",
+//     "schema": "acp.report.v3",
 //     "config":  {"n": 256, "protocol": "distill", ...},   // echo, insertion order
 //     "metrics": {"probes_per_player": {"count":..,"mean":..,"stddev":..,
 //                 "min":..,"p50":..,"p90":..,"p99":..,"max":..,
@@ -16,16 +16,6 @@
 //     "timers":   {"name": {"count":..,"total_ns":..}, ...},
 //     "histograms": {"name": {"lo":..,"hi":..,"buckets":[..],
 //                    "underflow":..,"overflow":..}, ...},
-//     "phases": {} | {                      // PhaseProfiler snapshot
-//       "rounds": {"parallel":..,"sequential":..},
-//       "engine.kernel.evaluate": {"total_ns":..,
-//         "shards":[{"shard":0,"rounds":..,"evaluate_ns":..,"wake_ns":..},..]},
-//       "engine.kernel.apply":   {"total_ns":..},
-//       "engine.kernel.barrier": {"total_ns":..},
-//       "imbalance": {"slowest_shard_ns":..,"fastest_shard_ns":..,
-//         "ratio_histogram":{"lo":..,"hi":..,"buckets":[..],
-//                            "underflow":..,"overflow":..}},
-//       "pool": {"tasks":..,"wake_ns":..,"max_queue_depth":..}},
 //     "bandwidth": {} | {                   // BandwidthMeter snapshot
 //       "engine.io.bits_read":..,"engine.io.bits_written":..,
 //       "channels": {"billboard.commit": {"read_ops":..,"read_bits":..,
@@ -33,8 +23,9 @@
 //       "per_player": {"players":..,"read_bits_mean":..,"read_bits_max":..,
 //                      "write_bits_mean":..,"write_bits_max":..}}
 //   }
-// v1 -> v2: the two trailing sections are new; they serialize as {} when
-// profiling was off so consumers can rely on the keys existing.
+// v2 -> v3: the "phases" section is gone. The kernel's seams are ordinary
+// registry entries (engine.kernel.* timers, the engine.kernel.imbalance
+// histogram), so the four registry sections render one snapshot as is.
 #pragma once
 
 #include <cstdint>
@@ -48,14 +39,13 @@
 
 #include "acp/obs/bandwidth.hpp"
 #include "acp/obs/metrics.hpp"
-#include "acp/obs/profiler.hpp"
 #include "acp/stats/summary.hpp"
 
 namespace acp::obs {
 
 class RunReport {
  public:
-  static constexpr std::string_view kSchema = "acp.report.v2";
+  static constexpr std::string_view kSchema = "acp.report.v3";
 
   /// Config echo; entries serialize in insertion order.
   void set_config(std::string key, std::string value);
@@ -74,10 +64,6 @@ class RunReport {
   /// .snapshot() taken right after the run).
   void set_metrics_snapshot(MetricsSnapshot snapshot);
 
-  /// Attach the kernel phase breakdown (PhaseProfiler snapshot). Unset,
-  /// the "phases" section serializes as {}.
-  void set_phase_profile(PhaseProfileSnapshot profile);
-
   /// Attach the bandwidth totals (BandwidthMeter snapshot). Unset, the
   /// "bandwidth" section serializes as {}.
   void set_bandwidth(BandwidthSnapshot bandwidth);
@@ -90,7 +76,6 @@ class RunReport {
   std::vector<std::pair<std::string, ConfigValue>> config_;
   std::vector<std::pair<std::string, Summary>> metrics_;
   MetricsSnapshot snapshot_;
-  std::optional<PhaseProfileSnapshot> phases_;
   std::optional<BandwidthSnapshot> bandwidth_;
 };
 

@@ -30,10 +30,6 @@ void RunReport::set_metrics_snapshot(MetricsSnapshot snapshot) {
   snapshot_ = std::move(snapshot);
 }
 
-void RunReport::set_phase_profile(PhaseProfileSnapshot profile) {
-  phases_ = std::move(profile);
-}
-
 void RunReport::set_bandwidth(BandwidthSnapshot bandwidth) {
   bandwidth_ = bandwidth;
 }
@@ -98,70 +94,6 @@ void RunReport::write_json(std::ostream& os) const {
     json.end_array();
     json.member("underflow", histogram.underflow)
         .member("overflow", histogram.overflow);
-    json.end_object();
-  }
-  json.end_object();
-
-  json.key("phases").begin_object();
-  if (phases_.has_value()) {
-    const PhaseProfileSnapshot& p = *phases_;
-    json.key("rounds").begin_object();
-    json.member("parallel", p.parallel_rounds)
-        .member("sequential", p.sequential_rounds);
-    json.end_object();
-
-    json.key("engine.kernel.evaluate").begin_object();
-    json.member("total_ns", p.evaluate_ns);
-    json.key("shards").begin_array();
-    for (std::size_t s = 0; s < p.shards.size(); ++s) {
-      json.begin_object();
-      json.member("shard", s)
-          .member("rounds", p.shards[s].rounds)
-          .member("evaluate_ns", p.shards[s].evaluate_ns)
-          .member("stage_ns", p.shards[s].stage_ns)
-          .member("wake_ns", p.shards[s].wake_ns);
-      json.end_object();
-    }
-    json.end_array();
-    json.end_object();
-
-    json.key("engine.kernel.stage").begin_object();
-    json.member("total_ns", p.stage_ns);
-    json.end_object();
-
-    json.key("engine.kernel.apply").begin_object();
-    json.member("total_ns", p.apply_ns);
-    json.end_object();
-
-    json.key("engine.kernel.merge").begin_object();
-    json.member("total_ns", p.merge_ns);
-    json.end_object();
-
-    json.key("engine.kernel.barrier").begin_object();
-    json.member("total_ns", p.barrier_ns);
-    json.end_object();
-
-    json.key("imbalance").begin_object();
-    json.member("slowest_shard_ns", p.slowest_shard_ns)
-        .member("fastest_shard_ns", p.fastest_shard_ns);
-    json.key("ratio_histogram").begin_object();
-    json.member("lo", p.imbalance.bin_low(0))
-        .member("hi", p.imbalance.bin_high(p.imbalance.num_bins() - 1));
-    json.key("buckets").begin_array();
-    for (std::size_t b = 0; b < p.imbalance.num_bins(); ++b) {
-      json.value(static_cast<std::uint64_t>(p.imbalance.bin_count(b)));
-    }
-    json.end_array();
-    json.member("underflow",
-                static_cast<std::uint64_t>(p.imbalance.underflow()))
-        .member("overflow", static_cast<std::uint64_t>(p.imbalance.overflow()));
-    json.end_object();
-    json.end_object();
-
-    json.key("pool").begin_object();
-    json.member("tasks", p.pool_tasks)
-        .member("wake_ns", p.pool_wake_ns)
-        .member("max_queue_depth", p.pool_max_queue_depth);
     json.end_object();
   }
   json.end_object();

@@ -30,11 +30,11 @@ struct CliConfig {
   bool csv = false;
   bool help = false;
 
-  /// Enable deep profiling for the run: PhaseProfiler (kernel phase and
-  /// per-shard timing), BandwidthMeter (bits read/written), and the
-  /// metrics registry. The collected breakdown lands in the report's
-  /// "phases"/"bandwidth" sections (with --report-json) and is printed
-  /// as a summary after the result table. Not available with --sweep.
+  /// Profile the run: enables the metrics registry (which times the
+  /// kernel's seams) and the BandwidthMeter. The registry snapshot and the
+  /// bandwidth totals land in the report (with --report-json), and a
+  /// summary is printed after the result table. Not available with
+  /// --sweep.
   bool profile = false;
 
   /// Write a per-round trace CSV of the FIRST trial to this path
@@ -45,7 +45,7 @@ struct CliConfig {
   /// this path (engines sync and lockstep). Empty = no trace.
   std::string trace_jsonl_path;
 
-  /// Write a machine-readable JSON run report ("acp.report.v2") — config
+  /// Write a machine-readable JSON run report ("acp.report.v3") — config
   /// echo, per-metric summaries, metrics-registry counters and timer
   /// totals — to this path. Enables metrics collection for the run.
   /// Empty = no report. Not available with --sweep.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <fstream>
+#include <iomanip>
 #include <optional>
 #include <ostream>
 #include <stdexcept>
@@ -11,7 +12,6 @@
 #include "acp/obs/bandwidth.hpp"
 #include "acp/obs/jsonl_trace.hpp"
 #include "acp/obs/metrics.hpp"
-#include "acp/obs/profiler.hpp"
 #include "acp/obs/observer_mux.hpp"
 #include "acp/obs/report.hpp"
 #include "acp/scenario/build.hpp"
@@ -102,16 +102,18 @@ execution:
                    (engines sync and lockstep)
   --trace-jsonl FILE   write a per-round JSONL trace (acp.trace.v1) of the
                        first trial (engines sync and lockstep)
-  --report-json FILE   write a machine-readable run report (acp.report.v2):
-                       config echo, metric summaries, internal
-                       counters/timers, and — with --profile — kernel
-                       phase and bandwidth breakdowns (not available
+  --report-json FILE   write a machine-readable run report (acp.report.v3):
+                       config echo, metric summaries, the metrics
+                       registry snapshot (counters, timers including the
+                       kernel's engine.kernel.* seams, histograms) and —
+                       with --profile — bandwidth totals (not available
                        with --sweep)
-  --profile        enable deep profiling: per-shard kernel phase timing
-                   (evaluate/apply/barrier, pool wake latency) and
-                   per-player bandwidth metering; prints a profile
-                   summary and fills the report's phases/bandwidth
-                   sections (not available with --sweep)
+  --profile        enable the metrics registry and bandwidth metering;
+                   prints where the kernel thread's slice time went
+                   (adversary, players, commit, accounting, leftover),
+                   the parallel kernel's lane work, and bits moved, and
+                   fills the report's bandwidth section (not available
+                   with --sweep)
   --help           this text
 )";
 }
@@ -393,38 +395,86 @@ std::vector<Summary> measure_point(const CliConfig& config) {
       });
 }
 
-/// Human-readable digest of a --profile run: where the kernel time went
-/// and how many bits moved. The full breakdown is in the report JSON.
-void print_profile_summary(const obs::PhaseProfileSnapshot& phases,
-                           const obs::BandwidthSnapshot& bandwidth,
-                           std::ostream& out) {
-  const std::uint64_t kernel_ns =
-      phases.evaluate_ns + phases.apply_ns + phases.barrier_ns;
-  const auto pct = [kernel_ns](std::uint64_t ns) {
-    return kernel_ns == 0 ? 0.0
-                          : 100.0 * static_cast<double>(ns) /
-                                static_cast<double>(kernel_ns);
+/// A slice timer and the timers that split it on the kernel thread.
+struct SliceParts {
+  const char* slice;
+  std::vector<const char*> parts;
+};
+
+const std::vector<SliceParts>& slice_parts() {
+  static const std::vector<const char*> kernel = {
+      "engine.kernel.adversary", "engine.kernel.players",
+      "engine.kernel.commit", "engine.kernel.accounting"};
+  static const std::vector<SliceParts> table = {
+      {"engine.sync.round", kernel},
+      {"engine.async.step", kernel},
+      {"engine.gossip.round",
+       {"engine.gossip.exchange", "engine.gossip.step",
+        "engine.gossip.commit"}},
   };
-  out << "\nprofile: kernel phases over "
-      << (phases.parallel_rounds + phases.sequential_rounds) << " rounds ("
-      << phases.parallel_rounds << " parallel, " << phases.sequential_rounds
-      << " sequential)\n";
-  out << "  engine.kernel.evaluate  " << phases.evaluate_ns << " ns ("
-      << Table::cell(pct(phases.evaluate_ns), 1) << "%)\n";
-  out << "  engine.kernel.apply     " << phases.apply_ns << " ns ("
-      << Table::cell(pct(phases.apply_ns), 1) << "%)\n";
-  out << "  engine.kernel.barrier   " << phases.barrier_ns << " ns ("
-      << Table::cell(pct(phases.barrier_ns), 1) << "%)\n";
-  if (!phases.shards.empty()) {
-    out << "  shards (evaluate ns | wake ns):\n";
-    for (std::size_t s = 0; s < phases.shards.size(); ++s) {
-      out << "    shard " << s << ": " << phases.shards[s].evaluate_ns
-          << " | " << phases.shards[s].wake_ns << "\n";
+  return table;
+}
+
+/// Human-readable digest of a --profile run, read from the registry
+/// snapshot: the slice timer's parts on the kernel thread (with the
+/// leftover, so the shares sum to 100%), the parallel kernel's lane-summed
+/// work, the trial pool, and the bits moved. The report JSON has the rest.
+void print_profile_summary(const obs::MetricsSnapshot& metrics,
+                           const obs::BandwidthSnapshot& bandwidth,
+                           std::size_t lanes, std::ostream& out) {
+  const auto timer = [&metrics](std::string_view name) {
+    for (const obs::TimerSample& sample : metrics.timers) {
+      if (sample.name == name) return sample;
+    }
+    return obs::TimerSample{std::string(name), 0, 0};
+  };
+  const auto label = [&out](std::string_view name) -> std::ostream& {
+    return out << "  " << std::left << std::setw(26) << name << ' '
+               << std::right;
+  };
+
+  for (const SliceParts& entry : slice_parts()) {
+    const obs::TimerSample slice = timer(entry.slice);
+    if (slice.count == 0) continue;
+    const auto row = [&](std::string_view name, std::uint64_t ns) {
+      const double share =
+          slice.total_ns == 0 ? 0.0
+                              : 100.0 * static_cast<double>(ns) /
+                                    static_cast<double>(slice.total_ns);
+      label(name) << ns << " ns (" << Table::cell(share, 1) << "%)\n";
+    };
+    out << "\nprofile: " << entry.slice << " on the kernel thread, "
+        << slice.count << " slices, " << slice.total_ns << " ns\n";
+    std::uint64_t parts_ns = 0;
+    for (const char* part : entry.parts) {
+      const std::uint64_t ns = timer(part).total_ns;
+      parts_ns += ns;
+      row(part, ns);
+    }
+    row("leftover", slice.total_ns > parts_ns ? slice.total_ns - parts_ns : 0);
+  }
+
+  const obs::TimerSample work = timer("engine.kernel.work");
+  if (work.count > 0) {
+    const obs::TimerSample wake = timer("engine.kernel.wake");
+    out << "profile: parallel kernel, " << lanes
+        << " lanes (lane time, not kernel-thread time)\n";
+    label("engine.kernel.work")
+        << work.total_ns << " ns over " << work.count << " shards\n";
+    label("engine.kernel.wake")
+        << wake.total_ns << " ns over " << wake.count << " lane wakes\n";
+    for (const char* name : {"engine.kernel.barrier", "engine.kernel.merge"}) {
+      label(name) << timer(name).total_ns
+                  << " ns (inside engine.kernel.players)\n";
     }
   }
-  out << "  pool: tasks=" << phases.pool_tasks
-      << " wake_ns=" << phases.pool_wake_ns
-      << " max_queue_depth=" << phases.pool_max_queue_depth << "\n";
+
+  const obs::TimerSample pool = timer("concurrency.pool.wake");
+  if (pool.count > 0) {
+    out << "profile: trial pool, " << pool.count << " tasks, "
+        << pool.total_ns << " ns submit->start\n";
+  }
+
   out << "profile: bandwidth engine.io.bits_read=" << bandwidth.bits_read
       << " engine.io.bits_written=" << bandwidth.bits_written << "\n";
   for (std::size_t c = 0; c < bandwidth.channels.size(); ++c) {
@@ -492,31 +542,29 @@ int run(const CliConfig& config, std::ostream& out) {
     return exit_code;
   }
 
-  // --report-json turns on the process-global metrics registry so the
-  // report can include engine counters and hot-path timer totals;
-  // --profile additionally arms the phase profiler and bandwidth meter.
+  // --report-json and --profile turn on the metrics registry (engine
+  // counters, hot-path timers, the kernel's seams); --profile also turns
+  // on the bandwidth meter.
   const bool want_report = !config.report_json_path.empty();
-  if (want_report || config.profile) {
+  const bool want_metrics = want_report || config.profile;
+  if (want_metrics) {
     obs::MetricsRegistry::global().reset();
     obs::MetricsRegistry::set_enabled(true);
   }
   if (config.profile) {
-    obs::PhaseProfiler::global().reset();
-    obs::PhaseProfiler::set_enabled(true);
     obs::BandwidthMeter::global().reset();
     obs::BandwidthMeter::set_enabled(true);
   }
   const auto summaries = measure_point(config);
-  obs::PhaseProfileSnapshot phases;
+  obs::MetricsSnapshot metrics;
   obs::BandwidthSnapshot bandwidth;
   if (config.profile) {
-    obs::PhaseProfiler::set_enabled(false);
     obs::BandwidthMeter::set_enabled(false);
-    phases = obs::PhaseProfiler::global().snapshot();
     bandwidth = obs::BandwidthMeter::global().snapshot();
   }
-  if (want_report || config.profile) {
+  if (want_metrics) {
     obs::MetricsRegistry::set_enabled(false);
+    metrics = obs::MetricsRegistry::global().snapshot();
   }
   if (want_report) {
     obs::RunReport report;
@@ -570,11 +618,8 @@ int run(const CliConfig& config, std::ostream& out) {
     report.add_metric("rounds", summaries[sim::kRounds]);
     report.add_metric("success_fraction", summaries[sim::kSuccessFraction]);
     report.add_metric("run_completed", summaries[sim::kCompleted]);
-    report.set_metrics_snapshot(obs::MetricsRegistry::global().snapshot());
-    if (config.profile) {
-      report.set_phase_profile(phases);
-      report.set_bandwidth(bandwidth);
-    }
+    report.set_metrics_snapshot(metrics);
+    if (config.profile) report.set_bandwidth(bandwidth);
     std::ofstream file(config.report_json_path);
     if (!file) {
       throw std::invalid_argument("--report-json: cannot open " +
@@ -600,7 +645,8 @@ int run(const CliConfig& config, std::ostream& out) {
         << " trials=" << spec.trials << "\n\n";
     table.print(out);
     if (config.profile) {
-      print_profile_summary(phases, bandwidth, out);
+      print_profile_summary(metrics, bandwidth,
+                            ThreadPool::resolve(spec.engine_threads), out);
     }
   }
   // Signal failure if any trial failed to satisfy all honest players.

@@ -442,16 +442,37 @@ TEST(CliRun, ProfileFillsReportSectionsAndPrintsSummary) {
   ASSERT_TRUE(report.good());
   std::string report_text((std::istreambuf_iterator<char>(report)),
                           std::istreambuf_iterator<char>());
-  // Profiling on: both v2 sections are populated, not the {} placeholder.
-  EXPECT_NE(report_text.find("\"phases\":{\"rounds\""), std::string::npos);
-  EXPECT_NE(report_text.find("\"engine.kernel.evaluate\""),
-            std::string::npos);
+  // v3: the kernel's seams are ordinary registry timers and histograms,
+  // and the bandwidth section is populated, not the {} placeholder.
+  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v3\"", 0), 0u);
+  EXPECT_EQ(report_text.find("\"phases\""), std::string::npos);
+  for (const char* name :
+       {"\"engine.kernel.adversary\"", "\"engine.kernel.players\"",
+        "\"engine.kernel.commit\"", "\"engine.kernel.accounting\"",
+        "\"engine.kernel.work\"", "\"engine.kernel.barrier\"",
+        "\"engine.kernel.merge\"", "\"engine.kernel.imbalance\""}) {
+    EXPECT_NE(report_text.find(name), std::string::npos) << name;
+  }
   EXPECT_NE(report_text.find("\"bandwidth\":{\"engine.io.bits_read\""),
             std::string::npos);
   EXPECT_NE(report_text.find("\"engine_threads\":2"), std::string::npos);
 
+  // The summary lists every kernel part and the leftover as shares of
+  // the slice timer; the shares add up to 100% (up to print rounding).
   const std::string text = out.str();
-  EXPECT_NE(text.find("profile: kernel phases"), std::string::npos);
+  EXPECT_NE(text.find("profile: engine.sync.round on the kernel thread"),
+            std::string::npos);
+  double share_sum = 0.0;
+  for (const char* part :
+       {"engine.kernel.adversary", "engine.kernel.players",
+        "engine.kernel.commit", "engine.kernel.accounting", "leftover"}) {
+    const std::size_t at = text.find(std::string("  ") + part + " ");
+    ASSERT_NE(at, std::string::npos) << part;
+    const std::size_t open = text.find('(', at);
+    share_sum += std::stod(text.substr(open + 1));
+  }
+  EXPECT_NEAR(share_sum, 100.0, 0.3);
+  EXPECT_NE(text.find("profile: parallel kernel, 2 lanes"), std::string::npos);
   EXPECT_NE(text.find("profile: bandwidth"), std::string::npos);
 
   std::remove(report_path.c_str());
@@ -475,7 +496,7 @@ TEST(CliRun, ReportJsonAndTraceJsonlWritten) {
   ASSERT_TRUE(report.good());
   std::string report_text((std::istreambuf_iterator<char>(report)),
                           std::istreambuf_iterator<char>());
-  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v2\"", 0), 0u);
+  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v3\"", 0), 0u);
   EXPECT_NE(report_text.find("\"probes_per_player\""), std::string::npos);
   EXPECT_NE(report_text.find("\"engine.sync.rounds\""), std::string::npos);
   EXPECT_NE(report_text.find("\"timers\""), std::string::npos);

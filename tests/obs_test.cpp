@@ -371,7 +371,7 @@ TEST(RunReport, GoldenJson) {
   report.write_json(os);
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"acp.report.v2\","
+      "{\"schema\":\"acp.report.v3\","
       "\"config\":{\"n\":2,\"protocol\":\"distill\",\"alpha\":0.5,"
       "\"gossip\":false},"
       "\"metrics\":{\"rounds\":{\"count\":2,\"mean\":2,\"stddev\":0,"
@@ -381,7 +381,6 @@ TEST(RunReport, GoldenJson) {
       "\"gauges\":{},"
       "\"timers\":{\"t\":{\"count\":1,\"total_ns\":5}},"
       "\"histograms\":{},"
-      "\"phases\":{},"
       "\"bandwidth\":{}}\n");
 }
 
@@ -389,23 +388,17 @@ TEST(RunReport, GoldenJsonWithProfileSections) {
   obs::RunReport report;
   report.set_config("n", std::uint64_t{2});
 
-  obs::PhaseProfileSnapshot phases;
-  phases.parallel_rounds = 2;
-  phases.evaluate_ns = 30;
-  phases.stage_ns = 12;
-  phases.apply_ns = 10;
-  phases.merge_ns = 6;
-  phases.barrier_ns = 5;
-  phases.slowest_shard_ns = 20;
-  phases.fastest_shard_ns = 10;
-  phases.shards.push_back(obs::PhaseShardTotals{2, 20, 8, 3});
-  phases.shards.push_back(obs::PhaseShardTotals{2, 10, 4, 4});
-  phases.imbalance = Histogram(1.0, 3.0, 2);
-  phases.imbalance.add(2.0);
-  phases.pool_tasks = 4;
-  phases.pool_wake_ns = 7;
-  phases.pool_max_queue_depth = 2;
-  report.set_phase_profile(phases);
+  // The kernel's seams are ordinary registry entries: a timer and the
+  // imbalance histogram render straight from the snapshot.
+  obs::MetricsSnapshot snapshot;
+  snapshot.timers.push_back(obs::TimerSample{"engine.kernel.work", 8, 30});
+  obs::HistogramSample imbalance;
+  imbalance.name = "engine.kernel.imbalance";
+  imbalance.lo = 1.0;
+  imbalance.hi = 3.0;
+  imbalance.bucket_counts = {0, 1};
+  snapshot.histograms.push_back(imbalance);
+  report.set_metrics_snapshot(std::move(snapshot));
 
   obs::BandwidthSnapshot bandwidth;
   auto& commit = bandwidth.channels[static_cast<std::size_t>(
@@ -422,25 +415,12 @@ TEST(RunReport, GoldenJsonWithProfileSections) {
   report.write_json(os);
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"acp.report.v2\","
+      "{\"schema\":\"acp.report.v3\","
       "\"config\":{\"n\":2},"
-      "\"metrics\":{},\"counters\":{},\"gauges\":{},\"timers\":{},"
-      "\"histograms\":{},"
-      "\"phases\":{"
-      "\"rounds\":{\"parallel\":2,\"sequential\":0},"
-      "\"engine.kernel.evaluate\":{\"total_ns\":30,\"shards\":["
-      "{\"shard\":0,\"rounds\":2,\"evaluate_ns\":20,\"stage_ns\":8,"
-      "\"wake_ns\":3},"
-      "{\"shard\":1,\"rounds\":2,\"evaluate_ns\":10,\"stage_ns\":4,"
-      "\"wake_ns\":4}]},"
-      "\"engine.kernel.stage\":{\"total_ns\":12},"
-      "\"engine.kernel.apply\":{\"total_ns\":10},"
-      "\"engine.kernel.merge\":{\"total_ns\":6},"
-      "\"engine.kernel.barrier\":{\"total_ns\":5},"
-      "\"imbalance\":{\"slowest_shard_ns\":20,\"fastest_shard_ns\":10,"
-      "\"ratio_histogram\":{\"lo\":1,\"hi\":3,\"buckets\":[0,1],"
-      "\"underflow\":0,\"overflow\":0}},"
-      "\"pool\":{\"tasks\":4,\"wake_ns\":7,\"max_queue_depth\":2}},"
+      "\"metrics\":{},\"counters\":{},\"gauges\":{},"
+      "\"timers\":{\"engine.kernel.work\":{\"count\":8,\"total_ns\":30}},"
+      "\"histograms\":{\"engine.kernel.imbalance\":{\"lo\":1,\"hi\":3,"
+      "\"buckets\":[0,1],\"underflow\":0,\"overflow\":0}},"
       "\"bandwidth\":{"
       "\"engine.io.bits_read\":0,\"engine.io.bits_written\":322,"
       "\"channels\":{"

@@ -1,21 +1,23 @@
-// The deep profiling layer: PhaseProfiler accounting, BandwidthMeter
-// attribution, and their contract with the kernel — profiling ON must
-// never change a RunResult (bit-identity with the unprofiled run), and
-// profiling OFF must collect nothing. Also pins the trial-driver metrics
-// hygiene guarantee: registry totals are trial-order invariant, so the
-// same totals come out at 1 and 8 driver threads. The concurrency suites
-// (MetricsConcurrency, ParallelKernelProfile, Runner) run under the TSan
-// CI job.
+// Profiling through the one metrics surface: the kernel's seam timers,
+// the thread pool's wake/queue metrics and BandwidthMeter attribution,
+// and their contract with the kernel — profiling ON must never change a
+// RunResult (bit-identity with the unprofiled run at engine_threads 1, 2
+// and 8), and profiling OFF must collect nothing. Also pins the
+// trial-driver metrics hygiene guarantee: registry totals are trial-order
+// invariant, so the same totals come out at 1 and 8 driver threads. The
+// concurrency suites (MetricsConcurrency, ParallelKernelProfile,
+// ThreadPoolMetrics, Runner) run under the TSan CI job.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
+#include "acp/concurrency/thread_pool.hpp"
 #include "acp/obs/bandwidth.hpp"
 #include "acp/obs/metrics.hpp"
-#include "acp/obs/profiler.hpp"
 #include "acp/scenario/build.hpp"
 #include "acp/scenario/spec.hpp"
 #include "acp/sim/scenario_driver.hpp"
@@ -24,19 +26,20 @@
 namespace acp::test {
 namespace {
 
-/// Arms the profiler + meter for one test and guarantees both are
-/// disabled and wiped afterwards, whatever the test does.
+/// Arms the registry + meter for one test (what `acpsim --profile` does)
+/// and guarantees both are disabled and wiped afterwards, whatever the
+/// test does.
 class ProfilingScope {
  public:
   ProfilingScope() {
-    obs::PhaseProfiler::global().reset();
-    obs::PhaseProfiler::set_enabled(true);
+    obs::MetricsRegistry::global().reset();
+    obs::MetricsRegistry::set_enabled(true);
     obs::BandwidthMeter::global().reset();
     obs::BandwidthMeter::set_enabled(true);
   }
   ~ProfilingScope() {
-    obs::PhaseProfiler::set_enabled(false);
-    obs::PhaseProfiler::global().reset();
+    obs::MetricsRegistry::set_enabled(false);
+    obs::MetricsRegistry::global().reset();
     obs::BandwidthMeter::set_enabled(false);
     obs::BandwidthMeter::global().reset();
   }
@@ -44,79 +47,45 @@ class ProfilingScope {
   ProfilingScope& operator=(const ProfilingScope&) = delete;
 };
 
-// ---------------------------------------------------------- PhaseProfiler
-
-TEST(PhaseProfilerUnit, ParallelRoundsAccumulateInShardOrder) {
-  ProfilingScope scope;
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
-
-  // ShardSpan fields: {evaluate_ns, stage_ns, wake_ns}.
-  const std::vector<obs::ShardSpan> round1 = {{100, 40, 10}, {50, 30, 20}};
-  const std::vector<obs::ShardSpan> round2 = {{200, 0, 1}, {100, 50, 2}};
-  profiler.record_parallel_round(round1, 7, 30);
-  profiler.record_parallel_round(round2, 8, 40);
-
-  const obs::PhaseProfileSnapshot snapshot = profiler.snapshot();
-  EXPECT_EQ(snapshot.parallel_rounds, 2u);
-  EXPECT_EQ(snapshot.sequential_rounds, 0u);
-  EXPECT_EQ(snapshot.evaluate_ns, 450u);
-  EXPECT_EQ(snapshot.stage_ns, 120u);
-  EXPECT_EQ(snapshot.apply_ns, 0u);  // parallel rounds never apply in place
-  EXPECT_EQ(snapshot.merge_ns, 70u);
-  EXPECT_EQ(snapshot.barrier_ns, 15u);
-  // Imbalance is over the full worker span (evaluate + stage).
-  EXPECT_EQ(snapshot.slowest_shard_ns, 340u);  // 140 + 200
-  EXPECT_EQ(snapshot.fastest_shard_ns, 230u);  // 80 + 150
-  ASSERT_EQ(snapshot.shards.size(), 2u);
-  EXPECT_EQ(snapshot.shards[0].rounds, 2u);
-  EXPECT_EQ(snapshot.shards[0].evaluate_ns, 300u);
-  EXPECT_EQ(snapshot.shards[0].stage_ns, 40u);
-  EXPECT_EQ(snapshot.shards[0].wake_ns, 11u);
-  EXPECT_EQ(snapshot.shards[1].evaluate_ns, 150u);
-  EXPECT_EQ(snapshot.shards[1].stage_ns, 80u);
-  EXPECT_EQ(snapshot.shards[1].wake_ns, 22u);
-  // Ratios 1.75 and ~1.33: two samples in the imbalance histogram.
-  EXPECT_EQ(snapshot.imbalance.total(), 2u);
+obs::TimerStat& timer(const char* name) {
+  return obs::MetricsRegistry::global().timer(name);
 }
 
-TEST(PhaseProfilerUnit, SequentialRoundsAndPoolStats) {
-  ProfilingScope scope;
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
-
-  profiler.record_sequential_round(120, 30);
-  profiler.record_task_wake(40);
-  profiler.record_task_wake(60);
-  profiler.record_queue_depth(3);
-  profiler.record_queue_depth(1);  // smaller: max is kept
-
-  const obs::PhaseProfileSnapshot snapshot = profiler.snapshot();
-  EXPECT_EQ(snapshot.sequential_rounds, 1u);
-  EXPECT_EQ(snapshot.parallel_rounds, 0u);
-  EXPECT_EQ(snapshot.evaluate_ns, 120u);
-  EXPECT_EQ(snapshot.apply_ns, 30u);
-  EXPECT_EQ(snapshot.pool_tasks, 2u);
-  EXPECT_EQ(snapshot.pool_wake_ns, 100u);
-  EXPECT_EQ(snapshot.pool_max_queue_depth, 3u);
-
-  profiler.reset();
-  const obs::PhaseProfileSnapshot wiped = profiler.snapshot();
-  EXPECT_EQ(wiped.sequential_rounds, 0u);
-  EXPECT_EQ(wiped.pool_tasks, 0u);
-  EXPECT_TRUE(wiped.shards.empty());
+std::uint64_t histogram_total(const char* name) {
+  for (const obs::HistogramSample& sample :
+       obs::MetricsRegistry::global().snapshot().histograms) {
+    if (sample.name != name) continue;
+    std::uint64_t total = sample.underflow + sample.overflow;
+    for (const std::uint64_t count : sample.bucket_counts) total += count;
+    return total;
+  }
+  return 0;
 }
 
-TEST(PhaseProfilerUnit, GrowingShardCountWidensTheTable) {
+// ------------------------------------------------------------ ThreadPool
+
+TEST(ThreadPoolMetrics, WakeAndQueueDepthRecordedOnlyWhenEnabled) {
+  static constexpr std::size_t kTasks = 16;
+  const auto run_tasks = [] {
+    ThreadPool pool(2);
+    std::atomic<std::size_t> done{0};
+    for (std::size_t i = 0; i < kTasks; ++i) {
+      pool.submit([&done] { done.fetch_add(1, std::memory_order_relaxed); });
+    }
+    pool.wait_idle();
+    EXPECT_EQ(done.load(), kTasks);
+  };
+
+  obs::MetricsRegistry::global().reset();
+  run_tasks();  // registry off: nothing recorded
+  EXPECT_EQ(timer("concurrency.pool.wake").count(), 0u);
+  EXPECT_EQ(histogram_total("concurrency.pool.queue_depth"), 0u);
+
   ProfilingScope scope;
-  obs::PhaseProfiler& profiler = obs::PhaseProfiler::global();
-  const std::vector<obs::ShardSpan> two = {{10, 0}, {20, 0}};
-  const std::vector<obs::ShardSpan> three = {{1, 0}, {2, 0}, {3, 0}};
-  profiler.record_parallel_round(two, 0, 0);
-  profiler.record_parallel_round(three, 0, 0);
-  const obs::PhaseProfileSnapshot snapshot = profiler.snapshot();
-  ASSERT_EQ(snapshot.shards.size(), 3u);
-  EXPECT_EQ(snapshot.shards[0].rounds, 2u);
-  EXPECT_EQ(snapshot.shards[2].rounds, 1u);
-  EXPECT_EQ(snapshot.shards[2].evaluate_ns, 3u);
+  run_tasks();
+  // One submit->start latency and one queue-depth sample per task.
+  EXPECT_EQ(timer("concurrency.pool.wake").count(), kTasks);
+  EXPECT_EQ(histogram_total("concurrency.pool.queue_depth"), kTasks);
 }
 
 // --------------------------------------------------------- BandwidthMeter
@@ -198,39 +167,68 @@ scenario::ScenarioSpec small_spec(std::size_t engine_threads) {
 }
 
 TEST(ParallelKernelProfile, ProfiledRunIsBitIdenticalToUnprofiled) {
-  const RunResult plain = scenario::run_scenario_trial(small_spec(2), 41);
-  ProfilingScope scope;
-  const RunResult profiled = scenario::run_scenario_trial(small_spec(2), 41);
-  expect_bit_identical(plain, profiled);
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("engine_threads " + std::to_string(threads));
+    const RunResult plain =
+        scenario::run_scenario_trial(small_spec(threads), 41);
+    ProfilingScope scope;
+    const RunResult profiled =
+        scenario::run_scenario_trial(small_spec(threads), 41);
+    expect_bit_identical(plain, profiled);
 
-  // And the profiler actually saw the run: two gang lanes expose
-  // kShardsPerLane * 2 = 8 claimable shards while the roster is wide,
-  // every staged nanosecond lands in stage_ns, and the canonical-order
-  // fold shows up as merge time — never as an in-place apply span.
-  const obs::PhaseProfileSnapshot phases =
-      obs::PhaseProfiler::global().snapshot();
-  EXPECT_GT(phases.parallel_rounds, 0u);
-  ASSERT_EQ(phases.shards.size(), 8u);
-  EXPECT_EQ(phases.shards[0].rounds, phases.parallel_rounds);
-  EXPECT_GT(phases.evaluate_ns, 0u);
-  EXPECT_GT(phases.stage_ns, 0u);
-  EXPECT_EQ(phases.apply_ns, 0u);
-  EXPECT_GT(phases.merge_ns, 0u);
-  // The round gang parks its workers on a barrier instead of queueing
-  // pool tasks; lane wake latency lands in ShardSpan::wake_ns.
-  EXPECT_EQ(phases.pool_tasks, 0u);
+    // The kernel thread timed each round once at every seam.
+    const auto rounds = static_cast<std::uint64_t>(profiled.rounds_executed);
+    EXPECT_EQ(timer("engine.sync.round").count(), rounds);
+    for (const char* part :
+         {"engine.kernel.adversary", "engine.kernel.players",
+          "engine.kernel.commit", "engine.kernel.accounting"}) {
+      SCOPED_TRACE(part);
+      EXPECT_EQ(timer(part).count(), rounds);
+      EXPECT_LE(timer(part).total_ns(), timer("engine.sync.round").total_ns());
+    }
+    if (threads == 1) {
+      EXPECT_EQ(timer("engine.kernel.work").count(), 0u);
+      continue;
+    }
+    // Lanes clock each claimed shard once: while the roster is wide there
+    // are kShardsPerLane * lanes of them per round, and every round with
+    // at least two shards gives one imbalance sample.
+    EXPECT_GE(timer("engine.kernel.work").count(), 4 * threads);
+    EXPECT_LE(timer("engine.kernel.work").count(), 4 * threads * rounds);
+    EXPECT_GT(timer("engine.kernel.work").total_ns(), 0u);
+    EXPECT_GE(timer("engine.kernel.wake").count(), rounds);
+    EXPECT_EQ(timer("engine.kernel.barrier").count(), rounds);
+    EXPECT_EQ(timer("engine.kernel.merge").count(), rounds);
+    EXPECT_GT(histogram_total("engine.kernel.imbalance"), 0u);
+    EXPECT_LE(histogram_total("engine.kernel.imbalance"), rounds);
+    // The round gang parks its workers on a barrier instead of queueing
+    // pool tasks.
+    EXPECT_EQ(timer("concurrency.pool.wake").count(), 0u);
+  }
 }
 
 TEST(ParallelKernelProfile, SequentialEngineRecordsSequentialRounds) {
   ProfilingScope scope;
   const RunResult result = scenario::run_scenario_trial(small_spec(1), 41);
   EXPECT_GT(result.rounds_executed, 0);
-  const obs::PhaseProfileSnapshot phases =
-      obs::PhaseProfiler::global().snapshot();
-  EXPECT_EQ(phases.parallel_rounds, 0u);
-  EXPECT_EQ(static_cast<std::int64_t>(phases.sequential_rounds),
-            result.rounds_executed);
-  EXPECT_GT(phases.evaluate_ns, 0u);
+  const auto rounds = static_cast<std::uint64_t>(result.rounds_executed);
+  EXPECT_EQ(timer("engine.kernel.players").count(), rounds);
+  EXPECT_GT(timer("engine.kernel.players").total_ns(), 0u);
+  // No lanes, no shards: the parallel seams stay silent.
+  EXPECT_EQ(timer("engine.kernel.work").count(), 0u);
+  EXPECT_EQ(timer("engine.kernel.barrier").count(), 0u);
+  EXPECT_EQ(histogram_total("engine.kernel.imbalance"), 0u);
+}
+
+TEST(ParallelKernelProfile, DisabledRegistryTimesNothing) {
+  obs::MetricsRegistry::global().reset();
+  ASSERT_FALSE(obs::MetricsRegistry::enabled());
+  (void)scenario::run_scenario_trial(small_spec(2), 41);
+  for (const obs::TimerSample& sample :
+       obs::MetricsRegistry::global().snapshot().timers) {
+    EXPECT_EQ(sample.count, 0u) << sample.name;
+  }
+  EXPECT_EQ(histogram_total("engine.kernel.imbalance"), 0u);
 }
 
 TEST(ParallelKernelProfile, SyncRunMetersBillboardAndLedgerTraffic) {
