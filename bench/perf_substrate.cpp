@@ -478,6 +478,32 @@ int main() {
                      }));
   }
 
+  // --- Ledger ingest of 1e5 distinct voters on ONE object (the sync
+  // workloads' shape: every honest player ends up voting for the single
+  // good object). A per-vote scan over the object's voters made this
+  // quadratic; each vote must stay O(1).
+  {
+    constexpr std::size_t kVoters = 100000;
+    constexpr std::size_t kPerRound = 1000;
+    Billboard billboard(kVoters, 16);
+    for (Round r = 0; r < static_cast<Round>(kVoters / kPerRound); ++r) {
+      std::vector<Post> posts;
+      posts.reserve(kPerRound);
+      for (std::size_t i = 0; i < kPerRound; ++i) {
+        const std::size_t author = static_cast<std::size_t>(r) * kPerRound + i;
+        posts.push_back(Post{PlayerId{author}, r, ObjectId{0}, 1.0, true});
+      }
+      billboard.commit_round(r, std::move(posts));
+    }
+    record(run_bench("ledger_ingest_one_object_100k",
+                     static_cast<std::int64_t>(kVoters), reps, [&] {
+                       VoteLedger ledger(VotePolicy::kFirstPositive, kVoters,
+                                         16, 1);
+                       ledger.ingest(billboard);
+                       sink(ledger.voters_of(ObjectId{0}).size());
+                     }));
+  }
+
   // --- Window queries at n=10k/m=100k (the acceptance benchmark), new
   // vs legacy. 997 sliding windows of width 2 per repetition.
   {

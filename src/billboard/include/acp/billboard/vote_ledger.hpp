@@ -137,6 +137,9 @@ class VoteLedger {
   /// Per player: best reported value so far (kHighestReported only).
   std::vector<double> player_best_value_;
   std::vector<bool> player_has_report_;
+  /// Per player: every object it ever voted for (kHighestReported only,
+  /// where player_votes_ keeps just the current one).
+  std::vector<std::vector<ObjectId>> player_vote_history_;
 
   /// Global vote-event log, nondecreasing rounds.
   std::vector<VoteEvent> events_;

@@ -17,6 +17,8 @@ VoteLedger::VoteLedger(VotePolicy policy, std::size_t num_players,
       player_votes_(num_players),
       player_best_value_(num_players, 0.0),
       player_has_report_(num_players, false),
+      player_vote_history_(
+          policy == VotePolicy::kHighestReported ? num_players : 0),
       object_event_rounds_(num_objects),
       object_voters_(num_objects),
       object_sorted_prefix_(num_objects, 0) {
@@ -98,10 +100,19 @@ void VoteLedger::record_vote(PlayerId voter, ObjectId object, Round round) {
     }
     rounds.push_back(round);
   }
-  auto& voters = object_voters_[object.value()];
-  if (std::find(voters.begin(), voters.end(), voter) == voters.end()) {
-    voters.push_back(voter);
+  // Distinct voters per object. Under the first-f policies ingest has
+  // already rejected a repeated (voter, object) pair, so the voter is new
+  // here. Under kHighestReported a player may come back to an object it
+  // voted for before; its own short vote history answers that, instead
+  // of a scan over every voter of the object.
+  if (policy_ == VotePolicy::kHighestReported) {
+    auto& history = player_vote_history_[voter.value()];
+    if (std::find(history.begin(), history.end(), object) != history.end()) {
+      return;
+    }
+    history.push_back(object);
   }
+  object_voters_[object.value()].push_back(voter);
 }
 
 void VoteLedger::flush_pending() {

@@ -236,6 +236,20 @@ TEST(HighestReportedLedger, EachImprovementIsAnEvent) {
   EXPECT_EQ(ledger.votes_in_window(ObjectId{3}, 0, 10), 0);
 }
 
+TEST(HighestReportedLedger, ReturningVoterIsListedOnce) {
+  Billboard bb(4, 8);
+  VoteLedger ledger(VotePolicy::kHighestReported, 4, 8, 1);
+  // Votes A -> B -> A (each report a strict improvement).
+  bb.commit_round(0, {make_post(0, 0, 1, 0.3, false)});
+  bb.commit_round(1, {make_post(0, 1, 2, 0.5, false)});
+  bb.commit_round(2, {make_post(0, 2, 1, 0.8, false)});
+  ledger.ingest(bb);
+  EXPECT_EQ(ledger.events().size(), 3u);
+  EXPECT_EQ(*ledger.current_vote(PlayerId{0}), ObjectId{1});
+  EXPECT_EQ(ledger.voters_of(ObjectId{1}), std::vector<PlayerId>{PlayerId{0}});
+  EXPECT_EQ(ledger.voters_of(ObjectId{2}), std::vector<PlayerId>{PlayerId{0}});
+}
+
 TEST(HighestReportedLedger, PositiveFlagIrrelevant) {
   Billboard bb(4, 8);
   VoteLedger ledger(VotePolicy::kHighestReported, 4, 8, 1);
