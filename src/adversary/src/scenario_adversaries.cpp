@@ -2,6 +2,7 @@
 // See acp/scenario/modules.hpp for how these registrations reach the
 // process-wide registry.
 
+#include <sstream>
 #include <stdexcept>
 
 #include "acp/adversary/split_vote.hpp"
@@ -69,6 +70,26 @@ std::unique_ptr<Adversary> make_splitvote(const AdversaryBuildContext& ctx) {
       p.get("flood_budget_fraction", params.flood_budget_fraction);
   params.seed_budget_fraction =
       p.get("seed_budget_fraction", params.seed_budget_fraction);
+  // The two budgets share one pool of dishonest players.
+  const auto fraction = [](const char* key, double value) {
+    if (!(value >= 0.0 && value <= 1.0)) {
+      std::ostringstream message;
+      message << "adversary 'splitvote': " << key << " must be in [0, 1], got "
+              << value;
+      throw std::invalid_argument(message.str());
+    }
+  };
+  fraction("flood_budget_fraction", params.flood_budget_fraction);
+  fraction("seed_budget_fraction", params.seed_budget_fraction);
+  if (params.flood_budget_fraction + params.seed_budget_fraction > 1.0) {
+    std::ostringstream message;
+    message << "adversary 'splitvote': flood_budget_fraction + "
+               "seed_budget_fraction must be at most 1 (they share the "
+               "dishonest players), got "
+            << params.flood_budget_fraction << " + "
+            << params.seed_budget_fraction;
+    throw std::invalid_argument(message.str());
+  }
   return std::make_unique<SplitVoteAdversary>(distill, params);
 }
 

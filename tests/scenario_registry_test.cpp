@@ -93,6 +93,27 @@ TEST(ScenarioRegistry, SplitVoteRequiresDistill) {
   EXPECT_NE(message.find("trivial"), std::string::npos);
 }
 
+TEST(ScenarioRegistry, SplitVoteOverBudgetIsASpecError) {
+  ScenarioSpec spec;
+  spec.n = 16;
+  spec.m = 16;
+  spec.adversary = "splitvote";
+  apply_override(spec, "adversary.flood_budget_fraction=0.7");
+  apply_override(spec, "adversary.seed_budget_fraction=0.4");
+  const std::string message =
+      error_of([&] { (void)run_scenario_trial(spec, 1); });
+  EXPECT_NE(message.find("flood_budget_fraction"), std::string::npos);
+  EXPECT_NE(message.find("seed_budget_fraction"), std::string::npos);
+
+  apply_override(spec, "adversary.seed_budget_fraction=0.3");  // sum 1.0
+  EXPECT_NO_THROW((void)run_scenario_trial(spec, 1));
+
+  apply_override(spec, "adversary.flood_budget_fraction=-0.1");
+  EXPECT_NE(error_of([&] { (void)run_scenario_trial(spec, 1); })
+                .find("flood_budget_fraction"),
+            std::string::npos);
+}
+
 TEST(ScenarioRegistry, SplitVoteRejectedOnGossip) {
   ScenarioSpec spec;
   spec.n = 16;
