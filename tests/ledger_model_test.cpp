@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <limits>
 #include <map>
+#include <type_traits>
 
 #include "acp/billboard/vote_ledger.hpp"
 #include "acp/rng/rng.hpp"
@@ -63,16 +65,27 @@ Count reference_window(const std::vector<VoteEvent>& events, ObjectId object,
   return count;
 }
 
+// gtest prints a parameter it has no printer for as its raw bytes, and
+// gtest_discover_tests puts that text into each ctest name. Bytes 4..7 were
+// once padding and so printed whatever the stack held, which changed the
+// names from run to run. `name_tag` fills them explicitly: it is never read
+// by the test, and its values are the bytes the recorded names carry, so
+// every name is now the same on every build and run.
 struct TraceParams {
   VotePolicy policy;
+  std::uint32_t name_tag;
   std::size_t votes_per_player;
   std::uint64_t seed;
 };
+static_assert(std::has_unique_object_representations_v<TraceParams>,
+              "TraceParams must have no padding: its bytes name the tests");
 
 class LedgerModelSweep : public ::testing::TestWithParam<TraceParams> {};
 
 TEST_P(LedgerModelSweep, AgreesWithReferenceOnRandomTraces) {
-  const auto [policy, f, seed] = GetParam();
+  const VotePolicy policy = GetParam().policy;
+  const std::size_t f = GetParam().votes_per_player;
+  const std::uint64_t seed = GetParam().seed;
   constexpr std::size_t kPlayers = 12;
   constexpr std::size_t kObjects = 10;
   constexpr Round kRounds = 40;
@@ -232,16 +245,16 @@ INSTANTIATE_TEST_SUITE_P(Seeds, ReplicaModelSweep,
 INSTANTIATE_TEST_SUITE_P(
     Traces, LedgerModelSweep,
     ::testing::Values(
-        TraceParams{VotePolicy::kFirstPositive, 1, 1},
-        TraceParams{VotePolicy::kFirstPositive, 1, 2},
-        TraceParams{VotePolicy::kFirstPositive, 3, 3},
-        TraceParams{VotePolicy::kFirstPositive, 3, 4},
-        TraceParams{VotePolicy::kFirstNegative, 1, 5},
-        TraceParams{VotePolicy::kFirstNegative, 4, 6},
-        TraceParams{VotePolicy::kHighestReported, 1, 7},
-        TraceParams{VotePolicy::kHighestReported, 1, 8},
-        TraceParams{VotePolicy::kFirstPositive, 2, 9},
-        TraceParams{VotePolicy::kFirstNegative, 2, 10}));
+        TraceParams{VotePolicy::kFirstPositive, 0x00007FFF, 1, 1},
+        TraceParams{VotePolicy::kFirstPositive, 0, 1, 2},
+        TraceParams{VotePolicy::kFirstPositive, 0x00007FFF, 3, 3},
+        TraceParams{VotePolicy::kFirstPositive, 0x00007FFF, 3, 4},
+        TraceParams{VotePolicy::kFirstNegative, 0x00005635, 1, 5},
+        TraceParams{VotePolicy::kFirstNegative, 0x18733936, 4, 6},
+        TraceParams{VotePolicy::kHighestReported, 0, 1, 7},
+        TraceParams{VotePolicy::kHighestReported, 0xFFFFFFFF, 1, 8},
+        TraceParams{VotePolicy::kFirstPositive, 0, 2, 9},
+        TraceParams{VotePolicy::kFirstNegative, 0, 2, 10}));
 
 }  // namespace
 }  // namespace acp
