@@ -10,9 +10,11 @@
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <vector>
 
+#include "acp/billboard/billboard.hpp"
 #include "acp/engine/observer.hpp"
 #include "acp/engine/run_result.hpp"
 #include "acp/rng/rng.hpp"
@@ -50,11 +52,15 @@ namespace acp::scenario {
 /// registry name, and execute on the spec's engine (engine seed is
 /// seed ^ 0x2545F491, the acpsim convention). `observer` may be null;
 /// it is only honored on the engines that expose observer slots.
+/// `on_final_replica` is handed to GossipConfig::on_final_replica on
+/// engine "gossip" and ignored elsewhere.
 /// Throws std::invalid_argument on unknown names, bad parameters, or
 /// unsupported combinations (e.g. adversary "splitvote" on engine
 /// "gossip", which has no single protocol instance to observe).
-[[nodiscard]] RunResult run_scenario_trial(const ScenarioSpec& spec,
-                                           std::uint64_t seed,
-                                           RunObserver* observer = nullptr);
+[[nodiscard]] RunResult run_scenario_trial(
+    const ScenarioSpec& spec, std::uint64_t seed,
+    RunObserver* observer = nullptr,
+    const std::function<void(PlayerId, const Billboard&)>& on_final_replica =
+        nullptr);
 
 }  // namespace acp::scenario

@@ -106,8 +106,9 @@ std::vector<Round> build_departures(const ScenarioSpec& spec,
   return departures;
 }
 
-RunResult run_scenario_trial(const ScenarioSpec& spec, std::uint64_t seed,
-                             RunObserver* observer) {
+RunResult run_scenario_trial(
+    const ScenarioSpec& spec, std::uint64_t seed, RunObserver* observer,
+    const std::function<void(PlayerId, const Billboard&)>& on_final_replica) {
   Registries& reg = registries();
 
   Rng rng(seed);
@@ -143,6 +144,7 @@ RunResult run_scenario_trial(const ScenarioSpec& spec, std::uint64_t seed,
     config.seed = engine_seed;
     config.arrivals = arrivals;
     config.departures = departures;
+    config.on_final_replica = on_final_replica;
     // The union log is replica-mode (posts arrive stamped with their
     // origin rounds), so a remote backend opens a replica board.
     const auto billboard =

@@ -13,6 +13,12 @@
 // and the final post log an observer sees in on_round_end (for gossip,
 // the union log).
 //
+// Each gossip case carries two more rows that pin what the result digest
+// cannot see: "<case>_replicas" hashes every honest node's final replica
+// (GossipConfig::on_final_replica, ascending node id, every Post field),
+// and "<case>_bits" hashes the run's gossip.digest, gossip.delta and
+// ledger.ingest bit totals with the BandwidthMeter on.
+//
 // Regenerate the table after an intended change with
 //   build/tests/golden_digests > tests/golden_digests.txt
 // and name the moved cases and the reason in CHANGES.md.
@@ -27,18 +33,26 @@
 
 namespace acp::golden {
 
+/// What a case's digest covers.
+enum class Pin {
+  kResult,    ///< RunResult plus the observer's final post log
+  kReplicas,  ///< every honest node's final gossip replica
+  kBits,      ///< metered gossip and ledger-ingest bit totals
+};
+
 struct GoldenCase {
   std::string name;
   scenario::ScenarioSpec spec;
+  Pin pin = Pin::kResult;
 };
 
 /// Every checked-in scenario file at reduced size, then the engine,
 /// adversary and protocol matrix. Names are unique and stable.
 [[nodiscard]] std::vector<GoldenCase> golden_cases();
 
-/// Digest of the spec's trials (seeds from derive_trial_seeds, run one
+/// Digest of the case's trials (seeds from derive_trial_seeds, run one
 /// after another on the calling thread).
-[[nodiscard]] std::uint64_t case_digest(const scenario::ScenarioSpec& spec);
+[[nodiscard]] std::uint64_t case_digest(const GoldenCase& golden);
 
 /// The table format: one "<name> <16 hex digits>" line per case.
 [[nodiscard]] std::string format_digest(std::uint64_t digest);

@@ -37,7 +37,7 @@ TEST_P(GoldenDigest, MatchesCheckedInTable) {
       << "no golden digest for '" << golden.name
       << "'; regenerate with: build/tests/golden_digests > "
          "tests/golden_digests.txt";
-  EXPECT_EQ(format_digest(case_digest(golden.spec)),
+  EXPECT_EQ(format_digest(case_digest(golden)),
             format_digest(entry->second))
       << "results of '" << golden.name << "' moved";
 }

@@ -10,7 +10,7 @@ int main() {
   for (const acp::golden::GoldenCase& golden : acp::golden::golden_cases()) {
     std::cout << golden.name << ' '
               << acp::golden::format_digest(
-                     acp::golden::case_digest(golden.spec))
+                     acp::golden::case_digest(golden))
               << '\n';
   }
   return 0;
