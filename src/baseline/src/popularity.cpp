@@ -19,13 +19,13 @@ void PopularityProtocol::initialize(const WorldView& world,
 
 void PopularityProtocol::on_round_begin(Round /*round*/,
                                         const Billboard& billboard) {
-  const auto& posts = billboard.posts();
-  for (; posts_consumed_ < posts.size(); ++posts_consumed_) {
-    const Post& post = posts[posts_consumed_];
-    if (!post.positive) continue;
+  const PostRange posts = billboard.posts();
+  posts.for_each(posts_consumed_, posts.size(), [this](const Post& post) {
+    if (!post.positive) return;
     ++score_[post.object.value()];  // every repeat counts: no vote cap
     ++total_score_;
-  }
+  });
+  posts_consumed_ = posts.size();
 }
 
 Count PopularityProtocol::popularity(ObjectId object) const {

@@ -62,7 +62,9 @@ void InProcessBillboard::votes_in_window_batch(std::span<const ObjectId> objects
   ledger().fresh(board_).votes_in_window_batch(objects, begin, end, out);
 }
 
-std::vector<Post> InProcessBillboard::snapshot() { return board_.posts(); }
+std::vector<Post> InProcessBillboard::snapshot() {
+  return board_.posts().to_vector();
+}
 
 BillboardBackendSpec BillboardBackendSpec::parse(std::string_view text) {
   if (text == "inproc") {

@@ -33,15 +33,14 @@ void VoteLedger::ingest(const Billboard& billboard) {
   ACP_OBS_TIMED_SCOPE("ledger.ingest");
   ACP_EXPECTS(billboard.num_players() == num_players_);
   ACP_EXPECTS(billboard.num_objects() == num_objects_);
-  const auto& posts = billboard.posts();
+  const PostRange posts = billboard.posts();
   if (obs::BandwidthMeter::enabled() && posts.size() > posts_consumed_) {
     // Every not-yet-consumed post crosses the board->ledger boundary once.
     obs::BandwidthMeter::add_read(
         obs::IoChannel::kLedgerIngest,
         (posts.size() - posts_consumed_) * obs::kPostWireBits);
   }
-  for (; posts_consumed_ < posts.size(); ++posts_consumed_) {
-    const Post& post = posts[posts_consumed_];
+  posts.for_each(posts_consumed_, posts.size(), [this](const Post& post) {
     const std::size_t p = post.author.value();
     switch (policy_) {
       case VotePolicy::kFirstPositive:
@@ -72,7 +71,8 @@ void VoteLedger::ingest(const Billboard& billboard) {
         break;
       }
     }
-  }
+  });
+  posts_consumed_ = posts.size();
   flush_pending();
 }
 

@@ -74,19 +74,19 @@ std::size_t LockstepAdapter::live_count() const {
 }
 
 void LockstepAdapter::ingest_real(const Billboard& real) {
-  const auto& posts = real.posts();
-  for (; real_cursor_ < posts.size(); ++real_cursor_) {
-    const Post& post = posts[real_cursor_];
+  const PostRange posts = real.posts();
+  posts.for_each(real_cursor_, posts.size(), [this](const Post& post) {
     const std::size_t author = post.author.value();
-    if (participant_[author]) continue;  // our own re-published sync posts
+    if (participant_[author]) return;  // our own re-published sync posts
     // A non-participant is a player the async scheduler never ran —
     // dishonest. Re-stamp its post into the current virtual round, one
     // per author per round (billboard contract).
-    if (foreign_posted_[author]) continue;
+    if (foreign_posted_[author]) return;
     foreign_posted_[author] = true;
     staged_.push_back(Post{post.author, vround_, post.object,
                            post.reported_value, post.positive});
-  }
+  });
+  real_cursor_ = posts.size();
 }
 
 void LockstepAdapter::complete_step(PlayerId player) {

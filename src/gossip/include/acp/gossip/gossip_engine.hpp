@@ -8,7 +8,7 @@
 //
 //  * every honest node keeps a replica Billboard (posts retain their
 //    origin stamps but arrive late and batched) and its own protocol
-//    instance — there is no shared state between players at all;
+//    instance — no player reads another's state;
 //  * Byzantine nodes absorb — they relay nothing — and inject their
 //    fabricated posts into `fanout` random nodes per round;
 //  * satisfied nodes stop probing but keep relaying (cheap, realistic,
@@ -30,6 +30,16 @@
 //    per-node hash set. Kept for one release as the differential-testing
 //    oracle (tests/gossip_antientropy_test.cpp pins digest ≡ exchange
 //    final replica state); metered on gossip.exchange.
+//
+// Memory model. A replica is a list of 4-byte ids into one append-only
+// post arena per run, which holds each distinct post once in creation
+// order (the union log is the same sequence). Inboxes, fresh lists and
+// the per-author sequence logs hold the same ids, so a post that reaches
+// every node costs n ids, not n 40-byte copies. Each replica still
+// commits, validates and reads its own posts in its own arrival order;
+// only the bytes are shared. What the wire carries is unchanged: the
+// BandwidthMeter charges every delivered post its full wire size, so
+// the bits-per-node accounting does not see the sharing.
 //
 // The interesting measurement (bench tab10_gossip): DISTILL's phase
 // machinery assumes a consistent view; under gossip, views — and hence
@@ -125,8 +135,9 @@ struct GossipConfig {
   RunObserver* observer = nullptr;
   /// Optional end-of-run inspection hook: called once per honest node
   /// (ascending id, departed nodes included) with its final committed
-  /// replica. This is how the substrate-equivalence tests compare digest
-  /// vs exchange final state without widening RunResult.
+  /// replica, an arena-backed board valid only during the call. This is
+  /// how the substrate-equivalence tests compare digest vs exchange final
+  /// state without widening RunResult.
   std::function<void(PlayerId, const Billboard&)> on_final_replica = nullptr;
   /// Backend for the adversary's omniscient union log; not owned. Null
   /// (the default) keeps it in-process. A non-null service must be a

@@ -88,7 +88,7 @@ TEST_F(BillboardRemote, CommitReadAndQueryMatchInProcess) {
   EXPECT_EQ(remote_counts, local_counts);
 
   // snapshot() bypasses the mirror — it pins mirror == server log.
-  EXPECT_EQ(remote.snapshot(), local.board().posts());
+  EXPECT_EQ(remote.snapshot(), local.board().posts().to_vector());
 
   const bbwire::BoardStateMsg stat = remote.stat();
   EXPECT_EQ(stat.size, local.size());
@@ -139,7 +139,7 @@ TEST_F(BillboardRemote, SharedBoardConvergesAcrossConnections) {
   // hold all four posts in server commit order.
   writer_b.commit_round(1, {make_post(3, 1, 0)});
   EXPECT_EQ(writer_b.size(), 4u);
-  EXPECT_EQ(writer_b.snapshot(), writer_b.board().posts());
+  EXPECT_EQ(writer_b.snapshot(), writer_b.board().posts().to_vector());
 
   // a is behind until its next interaction; stat + snapshot see 4.
   EXPECT_EQ(writer_a.stat().size, 4u);

@@ -124,7 +124,7 @@ TEST(DistillInvariants, SatisfiedPlayersNeverPostAgain) {
     void plan_round(const AdversaryContext& ctx, std::vector<Post>&,
                     Rng&) override {
       // The context's billboard dies with the run: snapshot the posts.
-      posts_ = ctx.billboard.posts();
+      posts_ = ctx.billboard.posts().to_vector();
     }
     std::vector<Post> posts_;
   } auditor;

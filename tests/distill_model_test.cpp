@@ -113,7 +113,7 @@ class BoundaryRecorder final : public Adversary {
     last_phase_ = protocol_->phase();
     snapshots_.push_back(Snapshot{protocol_->phase(), window,
                                   protocol_->candidates(),
-                                  ctx.billboard.posts()});
+                                  ctx.billboard.posts().to_vector()});
   }
 
   std::vector<Snapshot> snapshots_;
