@@ -8,7 +8,9 @@
 #include <tuple>
 #include <vector>
 
+#include "acp/adversary/strategies.hpp"
 #include "acp/billboard/seq_tracker.hpp"
+#include "acp/billboard/service.hpp"
 #include "acp/gossip/gossip_engine.hpp"
 #include "acp/scenario/spec.hpp"
 #include "acp/sim/scenario_driver.hpp"
@@ -294,6 +296,78 @@ TEST(GossipAntiEntropy, RepairCatchesUpLateArrivalsUnderChurn) {
   const std::vector<PostKey>& prefix = digest.replicas.at(leaver);
   EXPECT_TRUE(std::includes(expected.begin(), expected.end(), prefix.begin(),
                             prefix.end()));
+}
+
+TEST(GossipAntiEntropy, FinalReplicasArePerAuthorPrefixesOfTheUnionLog) {
+  // DISTILL under loss, pull, churn and the eager adversary. SeqTracker
+  // commits an author's posts only as a contiguous prefix of that
+  // author's sequence, so every honest final replica (departed nodes
+  // included) holds, per author, exactly the first k of the author's
+  // posts in union-log order, each once.
+  const std::size_t n = 40;
+  auto scenario = Scenario::make(n, 28, n, 2, 1300);
+  std::vector<Round> arrivals(n, 0);
+  std::vector<Round> departures(n, -1);
+  for (std::size_t p = 0; p < n; ++p) {
+    if (!scenario.population.is_honest(PlayerId{p})) continue;
+    arrivals[p] = static_cast<Round>(p % 6);
+    if (p % 9 == 4) departures[p] = 10;
+  }
+  InProcessBillboard union_log(n, n, Billboard::Mode::kReplica);
+  std::vector<std::vector<PostKey>> replicas;
+  GossipConfig config;
+  config.fanout = 3;
+  config.pull = true;
+  config.loss_prob = 0.2;
+  config.seed = 1301;
+  config.arrivals = arrivals;
+  config.departures = departures;
+  config.billboard = &union_log;
+  config.on_final_replica = [&](PlayerId, const Billboard& replica) {
+    std::vector<PostKey>& keys = replicas.emplace_back();
+    for (const Post& post : replica.posts()) keys.push_back(canonical(post));
+  };
+  EagerVoteAdversary adversary;
+  const RunResult result = GossipEngine::run(
+      scenario.world, scenario.population,
+      [] { return std::make_unique<DistillProtocol>(basic_params(0.7)); },
+      adversary, config);
+  ASSERT_TRUE(result.all_honest_satisfied);
+  ASSERT_EQ(replicas.size(), 28u);
+
+  // The engine reserves n posts for its arena and union log; a run that
+  // outgrows that reallocates the arena under the replicas' ids.
+  const PostRange all = union_log.board().posts();
+  ASSERT_GT(all.size(), 2 * n);
+  std::vector<PostKey> union_keys;
+  std::map<std::uint64_t, std::vector<PostKey>> by_author;
+  for (const Post& post : all) {
+    union_keys.push_back(canonical(post));
+    by_author[post.author.value()].push_back(canonical(post));
+  }
+  std::sort(union_keys.begin(), union_keys.end());
+  ASSERT_EQ(std::adjacent_find(union_keys.begin(), union_keys.end()),
+            union_keys.end())
+      << "posts must be distinct for the checks below to mean anything";
+
+  for (std::size_t i = 0; i < replicas.size(); ++i) {
+    SCOPED_TRACE(i);
+    std::vector<PostKey> sorted = replicas[i];
+    std::sort(sorted.begin(), sorted.end());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    EXPECT_TRUE(std::includes(union_keys.begin(), union_keys.end(),
+                              sorted.begin(), sorted.end()));
+    std::map<std::uint64_t, std::vector<PostKey>> mine;
+    for (const PostKey& key : replicas[i]) {
+      mine[std::get<0>(key)].push_back(key);
+    }
+    for (const auto& [author, posts] : mine) {
+      const std::vector<PostKey>& log = by_author[author];
+      ASSERT_LE(posts.size(), log.size()) << "author " << author;
+      EXPECT_TRUE(std::equal(posts.begin(), posts.end(), log.begin()))
+          << "author " << author;
+    }
+  }
 }
 
 // --------------------------------------- injection identity (dedup fix)
