@@ -151,5 +151,50 @@ TEST(Billboard, FailedCommitLeavesLogUnchanged) {
   EXPECT_EQ(bb.last_committed_round(), 0);
 }
 
+TEST(Billboard, ArenaBoardReadsThroughAGrowingArena) {
+  // The board keeps the arena vector, not its data: reads stay right
+  // after the arena reallocates past its reservation.
+  std::vector<Post> arena;
+  arena.reserve(1);
+  arena.push_back(make_post(0, 0, 1));
+  arena.push_back(make_post(1, 0, 2));
+  Billboard bb(4, 8, arena);
+  EXPECT_EQ(bb.mode(), Billboard::Mode::kReplica);
+  const std::vector<PostId> first = {1, 0};
+  bb.commit_ids(3, first);
+  for (std::size_t i = 0; i < 64; ++i) arena.push_back(make_post(2, 4, 3));
+  const std::vector<PostId> second = {65};
+  bb.commit_ids(4, second);
+  ASSERT_EQ(bb.size(), 3u);
+  const std::vector<Post> expected = {arena[1], arena[0], arena[65]};
+  EXPECT_EQ(bb.posts().to_vector(), expected);
+  EXPECT_EQ(bb.posts()[2].object, ObjectId{3});
+  // Both storages compare by content.
+  Billboard flat(4, 8, Billboard::Mode::kReplica);
+  flat.commit_round_from(4, expected);
+  EXPECT_EQ(bb.posts(), flat.posts());
+}
+
+TEST(Billboard, ArenaBoardEnforcesTheReplicaContract) {
+  std::vector<Post> arena = {make_post(0, 2, 1), make_post(9, 0, 1),
+                             make_post(0, 7, 1), make_post(0, 0, 1, -1.0)};
+  Billboard bb(4, 8, arena);
+  const std::vector<PostId> late = {0};
+  bb.commit_ids(5, late);  // origin stamp older than the commit round
+  for (const PostId bad : {PostId{1}, PostId{2}, PostId{3}, PostId{4}}) {
+    const std::vector<PostId> ids = {bad};
+    // Unknown author, a stamp from the future, a negative value, an id
+    // past the arena.
+    EXPECT_THROW(bb.commit_ids(6, ids), ContractViolation) << bad;
+  }
+  EXPECT_EQ(bb.size(), 1u);
+  EXPECT_EQ(bb.last_committed_round(), 5);
+  // An arena board takes ids only; a post board takes posts only.
+  EXPECT_THROW(bb.commit_round_from(6, arena), ContractViolation);
+  Billboard flat(4, 8, Billboard::Mode::kReplica);
+  EXPECT_THROW(flat.commit_ids(0, late), ContractViolation);
+  EXPECT_THROW(static_cast<void>(bb.posts().log()), ContractViolation);
+}
+
 }  // namespace
 }  // namespace acp
