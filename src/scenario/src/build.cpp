@@ -144,6 +144,7 @@ RunResult run_scenario_trial(
     config.seed = engine_seed;
     config.arrivals = arrivals;
     config.departures = departures;
+    config.observer = observer;
     config.on_final_replica = on_final_replica;
     // The union log is replica-mode (posts arrive stamped with their
     // origin rounds), so a remote backend opens a replica board.

@@ -99,9 +99,9 @@ execution:
                    (default 10000000)
   --csv            machine-readable output
   --trace FILE     write a per-round trace CSV of the first trial
-                   (engines sync and lockstep)
+                   (engines sync, lockstep and gossip)
   --trace-jsonl FILE   write a per-round JSONL trace (acp.trace.v1) of the
-                       first trial (engines sync and lockstep)
+                       first trial (engines sync, lockstep and gossip)
   --report-json FILE   write a machine-readable run report (acp.report.v3):
                        config echo, metric summaries, the metrics
                        registry snapshot (counters, timers including the
@@ -357,12 +357,12 @@ std::vector<Summary> measure_point(const CliConfig& config) {
   return run_trials_multi(
       plan, sim::kNumScenarioMetrics, [&](std::uint64_t seed) {
         // Traces cover the FIRST trial only, on the engines whose observer
-        // sees synchronous rounds (lockstep observers see virtual rounds —
-        // the same shape). The mux lets the CSV and JSONL recorders share
-        // the engine's single observer slot.
+        // sees synchronous rounds (lockstep observers see virtual rounds,
+        // gossip observers the union log — the same shape). The mux lets
+        // the CSV and JSONL recorders share the engine's single observer
+        // slot.
         const bool first_trial = seed == first_seed;
-        const bool traces_ok =
-            spec.engine == "sync" || spec.engine == "lockstep";
+        const bool traces_ok = spec.engine != "async";
         obs::ObserverMux mux;
         TraceRecorder trace;
         const bool want_trace =

@@ -520,6 +520,26 @@ TEST(CliRun, ReportJsonAndTraceJsonlWritten) {
   std::remove(trace_path.c_str());
 }
 
+TEST(CliRun, GossipScenarioTraceHasRoundLines) {
+  const std::string trace_path =
+      testing::TempDir() + "acp_cli_gossip_trace_test.jsonl";
+  const CliConfig config = parse_args(
+      {"--scenario", ACP_SCENARIO_DIR "/gossip_large.json", "--set", "n=64",
+       "--set", "m=64", "--set", "trials=1", "--trace-jsonl", trace_path});
+  std::ostringstream out;
+  EXPECT_EQ(run(config, out), 0);
+
+  std::ifstream trace(trace_path);
+  ASSERT_TRUE(trace.good());
+  std::size_t round_lines = 0;
+  std::string line;
+  while (std::getline(trace, line)) {
+    if (line.find("\"type\":\"round\"") != std::string::npos) ++round_lines;
+  }
+  EXPECT_GT(round_lines, 0u);
+  std::remove(trace_path.c_str());
+}
+
 TEST(CliRun, ReportJsonUnwritablePathThrows) {
   CliConfig config;
   config.spec.n = 16;
