@@ -498,7 +498,7 @@ int main() {
     record(run_bench("ledger_ingest_one_object_100k",
                      static_cast<std::int64_t>(kVoters), reps, [&] {
                        VoteLedger ledger(VotePolicy::kFirstPositive, kVoters,
-                                         16, 1);
+                                         16, 1, /*track_voters=*/true);
                        ledger.ingest(billboard);
                        sink(ledger.voters_of(ObjectId{0}).size());
                      }));

@@ -34,6 +34,13 @@
 // replica posts (gossip) are staged in a pending batch and merged into
 // the sorted event log once per ingest instead of via per-post
 // mid-vector inserts.
+//
+// Memory: under gossip every honest node keeps its own ledger, so its
+// fixed size is paid n times. Per player the ledger keeps f vote slots
+// in one flat array plus a count (and, under kHighestReported, the best
+// value so far); per object one event count; per vote event 16 bytes.
+// The per-object voter lists behind voters_of exist only when the
+// constructor is asked to track voters.
 #pragma once
 
 #include <cstddef>
@@ -61,12 +68,16 @@ struct VoteEvent {
   friend bool operator==(const VoteEvent&, const VoteEvent&) = default;
 };
 
+static_assert(sizeof(VoteEvent) == 16);
+
 class VoteLedger {
  public:
   /// `votes_per_player` is the f of §4.1; must be 1 under kHighestReported
-  /// (that policy has a single, mutable vote by definition).
+  /// (that policy has a single, mutable vote by definition). Only a ledger
+  /// built with `track_voters` answers voters_of.
   VoteLedger(VotePolicy policy, std::size_t num_players,
-             std::size_t num_objects, std::size_t votes_per_player = 1);
+             std::size_t num_objects, std::size_t votes_per_player = 1,
+             bool track_voters = false);
 
   /// Consume posts committed since the last ingest. Call once per round
   /// after Billboard::commit_round; idempotent w.r.t. already-seen posts.
@@ -84,6 +95,8 @@ class VoteLedger {
   /// Number of vote events for `object` with round in the half-open
   /// interval [begin, end): a vote at round `begin` counts, one at round
   /// `end` does not. An empty interval (begin == end) counts nothing.
+  /// Scans every event of the window; protocols, which query many objects
+  /// over one window, use votes_in_window_batch instead.
   [[nodiscard]] Count votes_in_window(ObjectId object, Round begin,
                                       Round end) const;
 
@@ -101,7 +114,8 @@ class VoteLedger {
 
   /// The players that have voted for `object` (event order; a player can
   /// appear at most once per policy semantics except kHighestReported,
-  /// where re-improvements on the same object are not re-listed).
+  /// where re-improvements on the same object are not re-listed). Only on
+  /// a ledger built with `track_voters`.
   [[nodiscard]] const std::vector<PlayerId>& voters_of(
       ObjectId object) const;
 
@@ -121,50 +135,54 @@ class VoteLedger {
 
  private:
   void record_vote(PlayerId voter, ObjectId object, Round round);
-  /// Merge the pending out-of-order batch into the sorted structures.
+  /// Merge the pending out-of-order batch into the sorted event log.
   /// Called once per ingest; a no-op for authoritative (in-order) feeds.
   void flush_pending();
+  /// The events with round in [begin, end), as a slice of events_.
+  [[nodiscard]] std::span<const VoteEvent> events_in(Round begin,
+                                                     Round end) const;
+  /// Count the window's events per object into the stamped scratch;
+  /// returns the epoch that marks the counted objects.
+  std::uint32_t count_window(std::span<const VoteEvent> window) const;
 
   VotePolicy policy_;
   std::size_t num_players_;
   std::size_t num_objects_;
-  std::size_t votes_per_player_;
+  /// Vote slots per player: min(f, m), since votes go to distinct objects.
+  std::size_t slots_per_player_;
+  bool track_voters_;
 
   std::size_t posts_consumed_ = 0;
 
-  /// Per player: current votes (small, <= f).
-  std::vector<std::vector<ObjectId>> player_votes_;
-  /// Per player: best reported value so far (kHighestReported only).
+  /// Player p's current votes are the first player_vote_count_[p] of its
+  /// slots_per_player_ slots, which start at p * slots_per_player_.
+  std::vector<ObjectId> player_votes_;
+  std::vector<std::uint32_t> player_vote_count_;
+  /// Per player: best reported value so far (kHighestReported only; read
+  /// only once the player has a vote).
   std::vector<double> player_best_value_;
-  std::vector<bool> player_has_report_;
-  /// Per player: every object it ever voted for (kHighestReported only,
-  /// where player_votes_ keeps just the current one).
-  std::vector<std::vector<ObjectId>> player_vote_history_;
+  /// Per object: vote events over all time.
+  std::vector<std::uint32_t> object_vote_count_;
 
   /// Global vote-event log, nondecreasing rounds.
   std::vector<VoteEvent> events_;
-  /// Parallel array of event rounds for binary search.
-  std::vector<Round> event_rounds_;
-  /// Per object: rounds of its vote events, nondecreasing.
-  std::vector<std::vector<Round>> object_event_rounds_;
-  /// Per object: distinct voters, in first-vote order.
-  std::vector<std::vector<PlayerId>> object_voters_;
-
   /// Late-stamped replica events staged for the next flush_pending().
   std::vector<VoteEvent> pending_events_;
-  /// Per object: length of the sorted prefix of its round list. Equal to
-  /// the list size outside ingest; smaller only while an out-of-order
-  /// batch is staged (the unsorted tail is merged by flush_pending()).
-  std::vector<std::size_t> object_sorted_prefix_;
-  /// Objects with an unsorted tail, each listed once per batch.
-  std::vector<std::size_t> dirty_objects_;
 
-  // Scratch for objects_with_votes_in_window (logically const, hence
-  // mutable): generation-stamped per-object counters, never re-zeroed.
-  mutable std::vector<Count> window_counts_;
-  mutable std::vector<std::uint64_t> window_stamp_;
+  /// Tracked ledgers only. Per object: distinct voters, in first-vote
+  /// order. Per player under kHighestReported: every object it ever voted
+  /// for (its slot keeps just the current one).
+  std::vector<std::vector<PlayerId>> object_voters_;
+  std::vector<std::vector<ObjectId>> player_vote_history_;
+
+  // Scratch for the window sweeps (logically const, hence mutable):
+  // generation-stamped per-object counters, re-zeroed only when the
+  // 32-bit epoch wraps. A window count never exceeds the object's
+  // all-time count, so 32 bits hold it too.
+  mutable std::vector<std::uint32_t> window_counts_;
+  mutable std::vector<std::uint32_t> window_stamp_;
   mutable std::vector<ObjectId> window_touched_;
-  mutable std::uint64_t window_epoch_ = 0;
+  mutable std::uint32_t window_epoch_ = 0;
 };
 
 }  // namespace acp

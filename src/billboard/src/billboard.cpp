@@ -27,8 +27,9 @@ void meter_commit(Billboard::Mode mode, std::span<const Post> posts) {
 Billboard::Billboard(std::size_t num_players, std::size_t num_objects,
                      Mode mode)
     : num_players_(num_players), num_objects_(num_objects), mode_(mode) {
-  ACP_EXPECTS(num_players_ >= 1);
-  ACP_EXPECTS(num_objects_ >= 1);
+  // Ids are 32-bit (acp/util/types.hpp), so counts stop at kMaxIdCount.
+  ACP_EXPECTS(num_players_ >= 1 && num_players_ <= kMaxIdCount);
+  ACP_EXPECTS(num_objects_ >= 1 && num_objects_ <= kMaxIdCount);
 }
 
 Billboard::Billboard(std::size_t num_players, std::size_t num_objects,

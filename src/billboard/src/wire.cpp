@@ -216,6 +216,11 @@ OpenMsg decode_open(std::span<const std::uint8_t> payload) {
                 std::to_string(msg.num_players) + " players, " +
                 std::to_string(msg.num_objects) + " objects)");
   }
+  if (msg.num_players > kMaxIdCount || msg.num_objects > kMaxIdCount) {
+    reader.fail("board dimensions must be below 2^32, the 32-bit id range "
+                "(got " + std::to_string(msg.num_players) + " players, " +
+                std::to_string(msg.num_objects) + " objects)");
+  }
   msg.board = reader.string(kMaxBoardNameLen);
   reader.expect_done();
   return msg;

@@ -23,6 +23,7 @@
 // boundaries are identical across players; only the random probes differ.
 #pragma once
 
+#include <cstdint>
 #include <optional>
 #include <vector>
 
@@ -127,7 +128,7 @@ class DistillProtocol final : public Protocol {
   std::vector<bool> universe_mask_;
 
   /// Per-player count of positive posts already made (vote budget f).
-  std::vector<std::size_t> votes_cast_;
+  std::vector<std::uint32_t> votes_cast_;
 
   /// Trust-weighted advice (§6 exploration): per player, local trust in
   /// every other player, settled against the public voters of every

@@ -42,7 +42,10 @@ void DistillProtocol::initialize(const WorldView& world,
   const VotePolicy policy = params_.local_testing
                                 ? VotePolicy::kFirstPositive
                                 : VotePolicy::kHighestReported;
-  ledger_.emplace(policy, n_, m_, params_.votes_per_player);
+  // Only trust-weighted advice reads voters_of, so only it pays for the
+  // per-object voter lists.
+  ledger_.emplace(policy, n_, m_, params_.votes_per_player,
+                  /*track_voters=*/params_.trust_weighted_advice);
   negative_ledger_.reset();
   if (params_.veto_fraction > 0.0) {
     negative_ledger_.emplace(VotePolicy::kFirstNegative, n_, m_,

@@ -35,7 +35,7 @@
 // post arena per run, which holds each distinct post once in creation
 // order (the union log is the same sequence). Inboxes, fresh lists and
 // the per-author sequence logs hold the same ids, so a post that reaches
-// every node costs n ids, not n 40-byte copies. Each replica still
+// every node costs n ids, not n 32-byte copies. Each replica still
 // commits, validates and reads its own posts in its own arrival order;
 // only the bytes are shared. What the wire carries is unchanged: the
 // BandwidthMeter charges every delivered post its full wire size, so

@@ -9,6 +9,7 @@
 #include "acp/billboard/service.hpp"
 #include "acp/obs/json.hpp"
 #include "acp/obs/json_value.hpp"
+#include "acp/util/types.hpp"
 
 namespace acp::scenario {
 
@@ -126,6 +127,13 @@ std::string ScenarioSpec::resolved_world() const {
 void ScenarioSpec::validate() const {
   if (n < 1) field_error("world.n", "must be >= 1");
   if (m < 1) field_error("world.m", "must be >= 1");
+  // Player and object ids are 32-bit (acp/util/types.hpp).
+  if (n > kMaxIdCount) {
+    field_error("world.n", "must be below 2^32, got " + std::to_string(n));
+  }
+  if (m > kMaxIdCount) {
+    field_error("world.m", "must be below 2^32, got " + std::to_string(m));
+  }
   if (good < 1 || good > m) {
     field_error("world.good",
                 "must be in [1, m]; got " + std::to_string(good) + " with m=" +

@@ -13,6 +13,8 @@
 #include <iosfwd>
 #include <limits>
 
+#include "acp/util/contracts.hpp"
+
 namespace acp {
 
 /// Round counter of the synchronous engine. Round 0 is the first round.
@@ -21,21 +23,31 @@ using Round = std::int64_t;
 /// Number of probes / posts; signed to keep arithmetic warnings quiet.
 using Count = std::int64_t;
 
+/// Largest player or object count a run may have: ids are stored in 32
+/// bits, and the all-ones value is the default-constructed id.
+inline constexpr std::size_t kMaxIdCount =
+    std::numeric_limits<std::uint32_t>::max();
+
 namespace detail {
 
-/// CRTP-free strong index: a size_t with a phantom tag.
+/// CRTP-free strong index: a 32-bit index with a phantom tag. It is
+/// stored in 32 bits to keep posts and vote records small, and read back
+/// as a size_t so index arithmetic stays in one type.
 template <class Tag>
 class StrongId {
  public:
   constexpr StrongId() noexcept = default;
-  constexpr explicit StrongId(std::size_t value) noexcept : value_(value) {}
+  constexpr explicit StrongId(std::size_t value)
+      : value_(static_cast<std::uint32_t>(value)) {
+    ACP_EXPECTS(value <= kMaxIdCount);
+  }
 
   [[nodiscard]] constexpr std::size_t value() const noexcept { return value_; }
 
   friend constexpr auto operator<=>(StrongId, StrongId) noexcept = default;
 
  private:
-  std::size_t value_ = std::numeric_limits<std::size_t>::max();
+  std::uint32_t value_ = std::numeric_limits<std::uint32_t>::max();
 };
 
 }  // namespace detail
@@ -47,6 +59,8 @@ struct ObjectTag {};
 using PlayerId = detail::StrongId<PlayerTag>;
 /// Index of an object, dense in [0, m).
 using ObjectId = detail::StrongId<ObjectTag>;
+
+static_assert(sizeof(PlayerId) == 4 && sizeof(ObjectId) == 4);
 
 std::ostream& operator<<(std::ostream& os, PlayerId id);
 std::ostream& operator<<(std::ostream& os, ObjectId id);

@@ -229,6 +229,36 @@ TEST(BillboardServerCore, StreamDesyncClosesConnection) {
   core.close_session(session);
 }
 
+TEST(BillboardServerCore, OpenBeyondTheIdRangeIsAnError) {
+  // A board of 2^32 players (or objects) is refused at decode, before the
+  // server sizes anything by it; the session can still open a real board.
+  BillboardServerCore core;
+  const std::uint64_t session = core.open_session();
+  const std::uint64_t too_many = std::uint64_t{1} << 32;
+  for (const bbwire::OpenMsg& open :
+       {bbwire::OpenMsg{0, too_many, 4, ""},
+        bbwire::OpenMsg{0, 4, too_many, "shared"}}) {
+    std::vector<std::uint8_t> frame;
+    bbwire::encode_open(frame, open);
+    std::vector<std::uint8_t> out;
+    ASSERT_TRUE(core.on_bytes(session, frame, out));
+    net::FrameAssembler assembler;
+    assembler.append(out);
+    const auto reply = assembler.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, static_cast<std::uint8_t>(bbwire::MsgType::kError));
+    EXPECT_TRUE(
+        contains(bbwire::decode_error(reply->payload).message, "2^32"));
+  }
+  EXPECT_EQ(core.stats().boards, 0u);
+  std::vector<std::uint8_t> frame;
+  bbwire::encode_open(frame, {0, 4, 4, ""});
+  std::vector<std::uint8_t> out;
+  ASSERT_TRUE(core.on_bytes(session, frame, out));
+  EXPECT_EQ(core.stats().boards, 1u);
+  core.close_session(session);
+}
+
 TEST(BillboardServerCore, RequestBeforeOpenIsAnError) {
   BillboardServerCore core;
   const std::uint64_t session = core.open_session();

@@ -20,6 +20,14 @@ TEST(Billboard, StartsEmpty) {
   EXPECT_EQ(bb.num_objects(), 8u);
 }
 
+TEST(Billboard, RejectsCountsBeyondTheIdRange) {
+  // Checked before anything is sized by the counts.
+  EXPECT_THROW(Billboard(kMaxIdCount + 1, 8), ContractViolation);
+  EXPECT_THROW(Billboard(4, kMaxIdCount + 1), ContractViolation);
+  EXPECT_THROW(Billboard(std::size_t{1} << 40, 8, Billboard::Mode::kReplica),
+               ContractViolation);
+}
+
 TEST(Billboard, CommitAppends) {
   Billboard bb(4, 8);
   bb.commit_round(0, {make_post(0, 0, 3), make_post(1, 0, 5)});

@@ -6,6 +6,8 @@
 // feed yields — this pins the pending-batch merge path of VoteLedger
 // against the straightforward in-order path.
 //
+// Both ledgers track voters, so voters_of can be compared too.
+//
 // Vote extraction itself is arrival-order-dependent in general (under
 // kFirstPositive, whichever positive post arrives first becomes the
 // vote), so every scenario here gives each player at most one positive
@@ -48,7 +50,8 @@ VoteLedger authoritative_ledger(const std::vector<Post>& posts) {
     }
     board.commit_round(r, std::move(batch));
   }
-  VoteLedger ledger(VotePolicy::kFirstPositive, kPlayers, kObjects, 1);
+  VoteLedger ledger(VotePolicy::kFirstPositive, kPlayers, kObjects, 1,
+                    /*track_voters=*/true);
   ledger.ingest(board);
   return ledger;
 }
@@ -64,7 +67,8 @@ VoteLedger replica_ledger(std::vector<Post> posts, std::uint64_t seed,
     std::swap(posts[i - 1], posts[rng.index(i)]);
   }
   Billboard board(kPlayers, kObjects, Billboard::Mode::kReplica);
-  VoteLedger ledger(VotePolicy::kFirstPositive, kPlayers, kObjects, 1);
+  VoteLedger ledger(VotePolicy::kFirstPositive, kPlayers, kObjects, 1,
+                    /*track_voters=*/true);
   Round commit_round = kOriginRounds;  // every stamp is already in the past
   for (std::size_t begin = 0; begin < posts.size(); begin += batch_size) {
     const std::size_t end = std::min(begin + batch_size, posts.size());
@@ -111,6 +115,35 @@ TEST_P(ReplicaOutOfOrderIngest, WindowQueriesMatchAuthoritativeOrder) {
       for (std::size_t obj = 0; obj < kObjects; ++obj) {
         EXPECT_EQ(replica.votes_in_window(ObjectId{obj}, begin, end),
                   reference.votes_in_window(ObjectId{obj}, begin, end))
+            << "object " << obj << ", window [" << begin << ", " << end
+            << ")";
+      }
+    }
+  }
+}
+
+TEST_P(ReplicaOutOfOrderIngest, CountsMatchABruteForceCountOfEvents) {
+  // The single-object window count and the all-time total, checked against
+  // a plain count over events() rather than against another ledger.
+  const VoteLedger replica =
+      replica_ledger(witness_posts(), GetParam(), /*batch_size=*/5);
+  const auto& events = replica.events();
+  for (std::size_t obj = 0; obj < kObjects; ++obj) {
+    const ObjectId object{obj};
+    const auto of_object = [object](const VoteEvent& e) {
+      return e.object == object;
+    };
+    EXPECT_EQ(replica.total_votes(object),
+              std::count_if(events.begin(), events.end(), of_object));
+    for (Round begin = 0; begin <= kOriginRounds; ++begin) {
+      for (Round end = begin; end <= kOriginRounds; ++end) {
+        const auto expected =
+            std::count_if(events.begin(), events.end(),
+                          [&](const VoteEvent& e) {
+                            return of_object(e) && e.round >= begin &&
+                                   e.round < end;
+                          });
+        EXPECT_EQ(replica.votes_in_window(object, begin, end), expected)
             << "object " << obj << ", window [" << begin << ", " << end
             << ")";
       }

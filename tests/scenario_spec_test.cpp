@@ -138,6 +138,17 @@ TEST(ScenarioSpec, ValidationNamesTheField) {
   EXPECT_NE(message.find("warp"), std::string::npos);
   EXPECT_NE(message.find("lockstep"), std::string::npos);
 
+  // Ids are 32-bit: a count of 2^32 is refused before anything is built.
+  spec = ScenarioSpec{};
+  spec.n = std::size_t{1} << 32;
+  EXPECT_NE(error_of([&] { spec.validate(); }).find("scenario.world.n"),
+            std::string::npos);
+  spec = ScenarioSpec{};
+  spec.m = std::size_t{1} << 32;
+  spec.good = 1;
+  EXPECT_NE(error_of([&] { spec.validate(); }).find("scenario.world.m"),
+            std::string::npos);
+
   spec = ScenarioSpec{};
   spec.depart_frac = 0.5;  // without depart_round
   EXPECT_NE(error_of([&] { spec.validate(); }).find("depart_round"),

@@ -5,6 +5,8 @@
 #include <sstream>
 #include <unordered_set>
 
+#include "acp/util/contracts.hpp"
+
 namespace acp {
 namespace {
 
@@ -24,6 +26,12 @@ TEST(StrongId, Comparisons) {
 TEST(StrongId, DefaultIsSentinel) {
   const PlayerId p;
   EXPECT_NE(p, PlayerId{0});
+}
+
+TEST(StrongId, ValueMustFitIn32Bits) {
+  EXPECT_EQ(ObjectId{kMaxIdCount}.value(), kMaxIdCount);
+  EXPECT_THROW(PlayerId{kMaxIdCount + 1}, ContractViolation);
+  EXPECT_THROW(ObjectId{std::size_t{1} << 40}, ContractViolation);
 }
 
 TEST(StrongId, DistinctTagsAreDistinctTypes) {

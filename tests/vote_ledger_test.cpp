@@ -213,6 +213,48 @@ TEST(MultiVoteLedger, HonorsVoteBudget) {
   EXPECT_EQ(ledger.total_votes(ObjectId{3}), 0);
 }
 
+TEST(MultiVoteLedger, VotesOfReadsEachPlayersOwnSlots) {
+  // f = 3: each player's votes live in its own three flat slots, filled in
+  // post order, whatever order the players' posts interleave in.
+  Billboard bb(4, 8);
+  VoteLedger ledger(VotePolicy::kFirstPositive, 4, 8, /*f=*/3);
+  bb.commit_round(0, {make_post(0, 0, 5, 1.0, true),
+                      make_post(2, 0, 1, 1.0, true)});
+  bb.commit_round(1, {make_post(0, 1, 3, 1.0, true),
+                      make_post(1, 1, 4, 1.0, false),  // not a vote
+                      make_post(2, 1, 1, 1.0, true)});  // repeat object
+  bb.commit_round(2, {make_post(0, 2, 7, 1.0, true),
+                      make_post(2, 2, 6, 1.0, true)});
+  bb.commit_round(3, {make_post(0, 3, 2, 1.0, true),  // over budget
+                      make_post(3, 3, 0, 1.0, true)});
+  ledger.ingest(bb);
+  const auto votes = [&ledger](std::size_t p) {
+    const auto span = ledger.votes_of(PlayerId{p});
+    return std::vector<ObjectId>(span.begin(), span.end());
+  };
+  EXPECT_EQ(votes(0), (std::vector<ObjectId>{ObjectId{5}, ObjectId{3},
+                                              ObjectId{7}}));
+  EXPECT_TRUE(votes(1).empty());
+  EXPECT_EQ(votes(2), (std::vector<ObjectId>{ObjectId{1}, ObjectId{6}}));
+  EXPECT_EQ(votes(3), std::vector<ObjectId>{ObjectId{0}});
+  EXPECT_EQ(ledger.events().size(), 6u);
+  EXPECT_EQ(ledger.total_votes(ObjectId{1}), 1);
+  EXPECT_EQ(ledger.total_votes(ObjectId{2}), 0);
+}
+
+TEST(VoteLedger, VotersOfNeedsATrackingLedger) {
+  Billboard bb(4, 8);
+  bb.commit_round(0, {make_post(0, 0, 1, 1.0, true)});
+  VoteLedger untracked(VotePolicy::kFirstPositive, 4, 8, 1);
+  untracked.ingest(bb);
+  EXPECT_THROW((void)untracked.voters_of(ObjectId{1}), ContractViolation);
+  VoteLedger tracked(VotePolicy::kFirstPositive, 4, 8, 1,
+                     /*track_voters=*/true);
+  tracked.ingest(bb);
+  EXPECT_EQ(tracked.voters_of(ObjectId{1}),
+            std::vector<PlayerId>{PlayerId{0}});
+}
+
 TEST(HighestReportedLedger, VoteIsBestSoFar) {
   Billboard bb(4, 8);
   VoteLedger ledger(VotePolicy::kHighestReported, 4, 8, 1);
@@ -238,7 +280,8 @@ TEST(HighestReportedLedger, EachImprovementIsAnEvent) {
 
 TEST(HighestReportedLedger, ReturningVoterIsListedOnce) {
   Billboard bb(4, 8);
-  VoteLedger ledger(VotePolicy::kHighestReported, 4, 8, 1);
+  VoteLedger ledger(VotePolicy::kHighestReported, 4, 8, 1,
+                    /*track_voters=*/true);
   // Votes A -> B -> A (each report a strict improvement).
   bb.commit_round(0, {make_post(0, 0, 1, 0.3, false)});
   bb.commit_round(1, {make_post(0, 1, 2, 0.5, false)});
