@@ -258,7 +258,7 @@ struct ReplicaOutOfOrderFixture {
   /// One full replica ingestion through the real VoteLedger.
   void run_new() const {
     Billboard board(kPlayers, kObjects, Billboard::Mode::kReplica);
-    board.reserve(kPosts);
+    board.reserve(kPosts);  // sizes the segment table, as the engines do
     VoteLedger ledger(VotePolicy::kFirstPositive, kPlayers, kObjects,
                       /*votes_per_player=*/10);
     Round commit_round = kOriginRounds;
@@ -440,6 +440,7 @@ int main() {
         "billboard_commit_1k",
         static_cast<std::int64_t>(kPostsPerRound) * kRounds, reps, [&] {
           Billboard billboard(kPostsPerRound, 1024);
+          // Sizes the segment table only; segments come as posts arrive.
           billboard.reserve(kPostsPerRound * static_cast<std::size_t>(kRounds));
           std::vector<Post> posts;
           for (Round round = 0; round < kRounds; ++round) {

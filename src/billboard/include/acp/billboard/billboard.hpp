@@ -7,9 +7,10 @@
 // r see exactly the posts committed for rounds < r — the synchronous
 // visibility rule.
 //
-// A board stores its log contiguously, or — for a gossip replica — as ids
-// into a shared post arena that its engine owns. Either way posts() is the
-// one read path (see post_range.hpp).
+// A board stores its posts in a PostLog, whose segments never move (see
+// post_log.hpp), or — for a gossip replica — as ids into a shared post
+// arena that its engine owns. Either way posts() is the one read path
+// (see post_range.hpp).
 #pragma once
 
 #include <cstddef>
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "acp/billboard/post.hpp"
+#include "acp/billboard/post_log.hpp"
 #include "acp/billboard/post_range.hpp"
 #include "acp/util/contracts.hpp"
 #include "acp/util/types.hpp"
@@ -73,21 +75,21 @@ class Billboard {
   /// under the kReplica contract. Each id must be below the arena's size.
   void commit_ids(Round round, std::span<const PostId> ids);
 
-  /// Pre-size the post log. Engines that can bound the post volume of a
-  /// run (roughly one vote post per player) call this once up front so
-  /// the log never reallocates mid-run.
-  void reserve(std::size_t expected_posts) { posts_.reserve(expected_posts); }
+  /// Pre-size the segment table for `expected_posts` posts. A hint only:
+  /// committed posts never move whether or not it is called, and segments
+  /// are still allocated as posts arrive. Arena boards ignore it.
+  void reserve(std::size_t expected_posts) { log_.reserve(expected_posts); }
 
   [[nodiscard]] Mode mode() const noexcept { return mode_; }
 
   /// All committed posts, in commit order (nondecreasing commit rounds).
   [[nodiscard]] PostRange posts() const noexcept {
     if (arena_ != nullptr) return PostRange(*arena_, ids_);
-    return PostRange(posts_);
+    return PostRange(log_);
   }
 
   [[nodiscard]] std::size_t size() const noexcept {
-    return arena_ != nullptr ? ids_.size() : posts_.size();
+    return arena_ != nullptr ? ids_.size() : log_.size();
   }
 
   /// Highest committed round, or -1 before the first commit.
@@ -100,13 +102,11 @@ class Billboard {
   std::uint64_t open_round(Round round);
   /// The per-post contract of the board's mode.
   void check_post(Round round, const Post& post, std::uint64_t epoch);
-  /// Shared validation for both post commits; bumps last_round_.
-  void validate_round(Round round, std::span<const Post> posts);
 
   std::size_t num_players_;
   std::size_t num_objects_;
   Mode mode_;
-  std::vector<Post> posts_;                   // contiguous boards
+  PostLog log_;                               // post boards
   const std::vector<Post>* arena_ = nullptr;  // arena boards
   std::vector<PostId> ids_;                   // arena boards
   Round last_round_ = -1;

@@ -1,19 +1,20 @@
 // PostRange — the one read path over a billboard's posts.
 //
 // A board stores its log in one of two ways. The authoritative board (and
-// any board a service owns) keeps a contiguous std::vector<Post>. A gossip
-// replica keeps 4-byte ids into its run's shared, append-only post arena,
-// so a post that reached every node is stored once, not once per node.
-// PostRange hides which: it is a read-only, random-access range whose
-// elements are `const Post&`.
+// any board a service owns) keeps a PostLog: fixed-size segments that are
+// never relocated (post_log.hpp). A gossip replica keeps 4-byte ids into
+// its run's shared, append-only post arena, so a post that reached every
+// node is stored once, not once per node. PostRange hides which: it is a
+// read-only, random-access range whose elements are `const Post&`.
 //
 // Element access (operator[], iterators) branches on the storage per post,
 // which is fine for tests and one-off reads. Readers that walk a batch of
 // posts use for_each, which picks the storage once per batch and then
-// runs a branch-free loop.
+// runs a branch-free loop over each segment (or over the ids).
 //
 // A PostRange is a view: it is valid until the next commit to its board or
-// append to its arena, whichever comes first. Readers keep a cursor (an
+// append to its arena, whichever comes first (a commit may grow the
+// segment table, though it never moves a post). Readers keep a cursor (an
 // index), never a PostRange, across rounds.
 #pragma once
 
@@ -26,6 +27,7 @@
 #include <vector>
 
 #include "acp/billboard/post.hpp"
+#include "acp/billboard/post_log.hpp"
 #include "acp/util/contracts.hpp"
 
 namespace acp {
@@ -46,7 +48,7 @@ class PostRange {
     iterator() = default;
 
     reference operator*() const noexcept {
-      return ids_ == nullptr ? base_[i_] : base_[ids_[i_]];
+      return at(segments_, base_, ids_, static_cast<std::size_t>(i_));
     }
     pointer operator->() const noexcept { return &**this; }
     reference operator[](difference_type k) const noexcept {
@@ -102,18 +104,20 @@ class PostRange {
 
    private:
     friend class PostRange;
-    iterator(const Post* base, const PostId* ids, difference_type i) noexcept
-        : base_(base), ids_(ids), i_(i) {}
+    iterator(const Post* const* segments, const Post* base, const PostId* ids,
+             difference_type i) noexcept
+        : segments_(segments), base_(base), ids_(ids), i_(i) {}
 
+    const Post* const* segments_ = nullptr;
     const Post* base_ = nullptr;
     const PostId* ids_ = nullptr;
     difference_type i_ = 0;
   };
   using const_iterator = iterator;
 
-  /// A contiguous log.
-  explicit PostRange(std::span<const Post> log) noexcept
-      : base_(log.data()), size_(log.size()) {}
+  /// Every post of a segmented log.
+  explicit PostRange(const PostLog& log) noexcept
+      : segments_(log.segments()), size_(log.size()) {}
 
   /// The posts arena[ids[0]], arena[ids[1]], ... Every id must be in range
   /// (the board checks that at commit).
@@ -124,12 +128,14 @@ class PostRange {
   [[nodiscard]] bool empty() const noexcept { return size_ == 0; }
 
   [[nodiscard]] const Post& operator[](std::size_t i) const noexcept {
-    return ids_ == nullptr ? base_[i] : base_[ids_[i]];
+    return at(segments_, base_, ids_, i);
   }
 
-  [[nodiscard]] iterator begin() const noexcept { return {base_, ids_, 0}; }
+  [[nodiscard]] iterator begin() const noexcept {
+    return {segments_, base_, ids_, 0};
+  }
   [[nodiscard]] iterator end() const noexcept {
-    return {base_, ids_, static_cast<std::ptrdiff_t>(size_)};
+    return {segments_, base_, ids_, static_cast<std::ptrdiff_t>(size_)};
   }
 
   /// Calls fn(post) for posts [first, last) in order. The storage branch
@@ -138,7 +144,14 @@ class PostRange {
   void for_each(std::size_t first, std::size_t last, Fn&& fn) const {
     ACP_EXPECTS(first <= last && last <= size_);
     if (ids_ == nullptr) {
-      for (std::size_t i = first; i < last; ++i) fn(base_[i]);
+      while (first < last) {
+        const Post* const segment = segments_[first >> PostLog::kSegmentShift];
+        const std::size_t begin = first & PostLog::kSegmentMask;
+        const std::size_t end =
+            std::min(PostLog::kSegmentPosts, begin + (last - first));
+        for (std::size_t j = begin; j < end; ++j) fn(segment[j]);
+        first += end - begin;
+      }
     } else {
       for (std::size_t i = first; i < last; ++i) fn(base_[ids_[i]]);
     }
@@ -152,20 +165,22 @@ class PostRange {
     return copy;
   }
 
-  /// The contiguous log itself, for readers that hand raw memory on (the
-  /// wire encoder). Precondition: the board stores posts, not arena ids.
-  [[nodiscard]] std::span<const Post> log() const {
-    ACP_EXPECTS(ids_ == nullptr);
-    return {base_, size_};
-  }
-
   friend bool operator==(const PostRange& a, const PostRange& b) {
     return std::equal(a.begin(), a.end(), b.begin(), b.end());
   }
 
  private:
-  const Post* base_ = nullptr;
-  const PostId* ids_ = nullptr;
+  static const Post& at(const Post* const* segments, const Post* base,
+                        const PostId* ids, std::size_t i) noexcept {
+    if (ids == nullptr) {
+      return segments[i >> PostLog::kSegmentShift][i & PostLog::kSegmentMask];
+    }
+    return base[ids[i]];
+  }
+
+  const Post* const* segments_ = nullptr;  // segmented logs
+  const Post* base_ = nullptr;             // arena boards
+  const PostId* ids_ = nullptr;            // arena boards
   std::size_t size_ = 0;
 };
 

@@ -33,6 +33,7 @@
 
 #include "acp/billboard/billboard.hpp"
 #include "acp/billboard/post.hpp"
+#include "acp/billboard/post_range.hpp"
 #include "acp/net/frame.hpp"
 #include "acp/util/types.hpp"
 
@@ -148,6 +149,10 @@ void encode_commit(std::vector<std::uint8_t>& out, Round round,
                    std::span<const Post> posts);
 void encode_pull(std::vector<std::uint8_t>& out, const PullMsg& msg);
 void encode_posts(std::vector<std::uint8_t>& out, std::span<const Post> posts);
+/// Posts [first, last) of a board, as one kPosts frame (what a pull
+/// answers). The same bytes as the span form over those posts.
+void encode_posts(std::vector<std::uint8_t>& out, const PostRange& posts,
+                  std::size_t first, std::size_t last);
 void encode_window_query(std::vector<std::uint8_t>& out,
                          const WindowQueryMsg& msg);
 void encode_window_count(std::vector<std::uint8_t>& out, Count count);

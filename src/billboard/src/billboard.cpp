@@ -1,7 +1,5 @@
 #include "acp/billboard/billboard.hpp"
 
-#include <iterator>
-
 #include "acp/obs/bandwidth.hpp"
 #include "acp/obs/timer.hpp"
 
@@ -62,27 +60,18 @@ inline void Billboard::check_post(Round round, const Post& p,
   }
 }
 
-void Billboard::validate_round(Round round, std::span<const Post> posts) {
-  const std::uint64_t epoch = open_round(round);
-  for (const Post& p : posts) check_post(round, p, epoch);
-  last_round_ = round;
-}
-
 void Billboard::commit_round(Round round, std::vector<Post> posts) {
-  ACP_OBS_TIMED_SCOPE("billboard.commit_round");
-  ACP_EXPECTS(arena_ == nullptr);
-  validate_round(round, posts);
-  meter_commit(mode_, posts);
-  posts_.insert(posts_.end(), std::make_move_iterator(posts.begin()),
-                std::make_move_iterator(posts.end()));
+  commit_round_from(round, posts);
 }
 
 void Billboard::commit_round_from(Round round, std::span<const Post> posts) {
   ACP_OBS_TIMED_SCOPE("billboard.commit_round");
   ACP_EXPECTS(arena_ == nullptr);
-  validate_round(round, posts);
+  const std::uint64_t epoch = open_round(round);
+  for (const Post& p : posts) check_post(round, p, epoch);
   meter_commit(mode_, posts);
-  posts_.insert(posts_.end(), posts.begin(), posts.end());
+  log_.append(posts);  // a failed allocation leaves the board unchanged
+  last_round_ = round;
 }
 
 void Billboard::commit_ids(Round round, std::span<const PostId> ids) {

@@ -399,10 +399,9 @@ void BillboardServerCore::handle_pull(BoardState& board,
   const std::uint64_t size = board.board.size();
   const std::uint64_t begin = std::min(msg.begin, size);
   const std::uint64_t end = std::min(msg.end, size);
-  // Service boards are contiguous, so a pull encodes straight from the log.
-  bbwire::encode_posts(out, board.board.posts().log().subspan(
-                                static_cast<std::size_t>(begin),
-                                static_cast<std::size_t>(end - begin)));
+  bbwire::encode_posts(out, board.board.posts(),
+                       static_cast<std::size_t>(begin),
+                       static_cast<std::size_t>(end));
   ++stats_.pulls;
 }
 

@@ -142,6 +142,16 @@ void encode_posts(std::vector<std::uint8_t>& out, std::span<const Post> posts) {
   end_frame(out, at);
 }
 
+void encode_posts(std::vector<std::uint8_t>& out, const PostRange& posts,
+                  std::size_t first, std::size_t last) {
+  const std::size_t at =
+      begin_frame(out, static_cast<std::uint8_t>(MsgType::kPosts));
+  put_varint(out, last - first);
+  posts.for_each(first, last,
+                 [&out](const Post& post) { encode_post(out, post); });
+  end_frame(out, at);
+}
+
 void encode_window_query(std::vector<std::uint8_t>& out,
                          const WindowQueryMsg& msg) {
   const std::size_t at =

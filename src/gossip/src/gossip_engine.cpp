@@ -132,7 +132,9 @@ RunResult GossipEngine::run(const World& world, const Population& population,
   ACP_EXPECTS(global_service->num_objects() == world.num_objects());
   ACP_EXPECTS(global_service->size() == 0);
   ACP_EXPECTS(global_service->board().mode() == Billboard::Mode::kReplica);
-  global_service->reserve(n);  // ~one vote post per player in DISTILL runs
+  // A sizing hint for the union log's segment table (~one vote post per
+  // player in DISTILL runs); committed posts never move either way.
+  global_service->reserve(n);
   const Billboard& global = global_service->board();
 
   std::size_t global_committed = 0;  // arena prefix in the union log

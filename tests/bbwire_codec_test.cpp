@@ -2,6 +2,8 @@
 // properties over randomized messages, plus rejection of truncated,
 // oversized, corrupt and out-of-range frames with actionable messages.
 #include <cstdint>
+#include <span>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -74,6 +76,35 @@ TEST(BbwireCodec, CommitRoundTripsRandomized) {
         bbwire::decode_commit(frame.payload, kPlayers, kObjects);
     EXPECT_EQ(msg.round, round);
     EXPECT_EQ(msg.posts, posts);
+  }
+}
+
+TEST(BbwireCodec, PostsFromARangeMatchPostsFromASpan) {
+  // A pull encodes from the board's segmented log; its bytes must be the
+  // span encoding's, including ranges that cross a segment boundary.
+  constexpr std::size_t kSegment = PostLog::kSegmentPosts;
+  Rng rng(11);
+  std::vector<Post> posts;
+  for (std::size_t i = 0; i < kSegment + 50; ++i) {
+    posts.push_back(Post{PlayerId{rng.index(64)},
+                         static_cast<Round>(rng.index(100)),
+                         ObjectId{rng.index(32)}, rng.uniform01(),
+                         rng.bernoulli(0.5)});
+  }
+  Billboard board(64, 32, Billboard::Mode::kReplica);
+  board.commit_round_from(100, posts);
+  for (const auto& [first, last] :
+       {std::pair<std::size_t, std::size_t>{0, 0},
+        {0, posts.size()},
+        {kSegment - 3, kSegment + 9},
+        {kSegment, kSegment + 50},
+        {17, 40}}) {
+    std::vector<std::uint8_t> from_range;
+    std::vector<std::uint8_t> from_span;
+    bbwire::encode_posts(from_range, board.posts(), first, last);
+    bbwire::encode_posts(from_span, std::span<const Post>(posts).subspan(
+                                        first, last - first));
+    EXPECT_EQ(from_range, from_span) << first << ".." << last;
   }
 }
 

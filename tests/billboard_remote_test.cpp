@@ -156,6 +156,41 @@ TEST_F(BillboardRemote, SharedBoardConvergesAcrossConnections) {
   EXPECT_EQ(reader.votes_in_window(ObjectId{1}, 0, 2), 1);
 }
 
+TEST_F(BillboardRemote, PullsCrossASegmentBoundary) {
+  // The server encodes each pull straight from its segmented log; these
+  // pulls start in one segment and end in the next.
+  constexpr std::size_t kSegment = PostLog::kSegmentPosts;
+  const auto batch = [](std::size_t first, std::size_t count) {
+    std::vector<Post> posts;
+    for (std::size_t i = first; i < first + count; ++i) {
+      Post post = make_post(i % 8, 0, i % 4, i % 3 == 0);
+      post.reported_value = static_cast<double>(i);
+      posts.push_back(post);
+    }
+    return posts;
+  };
+  RemoteBillboard writer(endpoint(), 8, 4, Billboard::Mode::kReplica,
+                         "segments");
+  writer.commit_round_from(0, batch(0, kSegment - 10));
+  RemoteBillboard follower(endpoint(), 8, 4, Billboard::Mode::kReplica,
+                           "segments");
+  ASSERT_EQ(follower.size(), kSegment - 10);
+  writer.commit_round_from(1, batch(kSegment - 10, 25));
+  writer.commit_round_from(2, batch(kSegment + 15, 5));
+
+  // A late joiner pulls [0, kSegment + 20) in one go.
+  RemoteBillboard reader(endpoint(), 8, 4, Billboard::Mode::kReplica,
+                         "segments");
+  ASSERT_EQ(reader.size(), kSegment + 20);
+  EXPECT_EQ(reader.board().posts(), writer.board().posts());
+  // The follower's next commit pulls the tail [kSegment - 10, ...).
+  follower.commit_round_from(3, batch(kSegment + 20, 1));
+  writer.commit_round_from(3, {});
+  ASSERT_EQ(follower.size(), kSegment + 21);
+  EXPECT_EQ(follower.board().posts(), writer.board().posts());
+  EXPECT_EQ(follower.snapshot(), writer.board().posts().to_vector());
+}
+
 TEST_F(BillboardRemote, SharedBoardDimensionMismatchIsRejected) {
   RemoteBillboard first(endpoint(), 8, 4, Billboard::Mode::kReplica,
                         "dims");

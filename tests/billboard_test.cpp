@@ -1,5 +1,9 @@
 #include "acp/billboard/billboard.hpp"
 
+#include <algorithm>
+#include <iterator>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "acp/util/contracts.hpp"
@@ -201,7 +205,155 @@ TEST(Billboard, ArenaBoardEnforcesTheReplicaContract) {
   EXPECT_THROW(bb.commit_round_from(6, arena), ContractViolation);
   Billboard flat(4, 8, Billboard::Mode::kReplica);
   EXPECT_THROW(flat.commit_ids(0, late), ContractViolation);
-  EXPECT_THROW(static_cast<void>(bb.posts().log()), ContractViolation);
+}
+
+// -- Segmented storage (PostLog) ---------------------------------------------
+
+constexpr std::size_t kSegment = PostLog::kSegmentPosts;
+
+/// `count` replica posts for log positions first, first + 1, ...: each
+/// carries its position as its reported value, so a misplaced post shows.
+std::vector<Post> numbered_posts(std::size_t first, std::size_t count) {
+  std::vector<Post> posts;
+  posts.reserve(count);
+  for (std::size_t i = first; i < first + count; ++i) {
+    posts.push_back(make_post(i % 4, 0, i % 8, static_cast<double>(i)));
+  }
+  return posts;
+}
+
+/// A replica board holding posts 0 .. size - 1 of numbered_posts, committed
+/// in batches of `batch`.
+Billboard numbered_board(std::size_t size, std::size_t batch) {
+  Billboard bb(4, 8, Billboard::Mode::kReplica);
+  Round round = 0;
+  for (std::size_t first = 0; first < size; first += batch) {
+    bb.commit_round_from(round++,
+                         numbered_posts(first, std::min(batch, size - first)));
+  }
+  return bb;
+}
+
+TEST(PostLog, CommitStraddlesASegmentBoundary) {
+  Billboard bb = numbered_board(kSegment - 3, kSegment - 3);
+  bb.commit_round_from(1, numbered_posts(kSegment - 3, 7));
+  ASSERT_EQ(bb.size(), kSegment + 4);
+  const PostRange posts = bb.posts();
+  for (std::size_t i = kSegment - 8; i < bb.size(); ++i) {
+    EXPECT_EQ(posts[i].reported_value, static_cast<double>(i)) << i;
+  }
+  EXPECT_EQ(bb.last_committed_round(), 1);
+}
+
+TEST(PostLog, FailedStraddlingCommitLeavesLogUnchanged) {
+  Billboard bb = numbered_board(kSegment - 1, kSegment - 1);
+  std::vector<Post> bad = numbered_posts(kSegment - 1, 4);
+  bad.back().object = ObjectId{8};  // out of range, past the boundary
+  EXPECT_THROW(bb.commit_round_from(1, bad), ContractViolation);
+  EXPECT_EQ(bb.size(), kSegment - 1);
+  EXPECT_EQ(bb.last_committed_round(), 0);
+  // The next valid commit lands where the bad one would have.
+  bb.commit_round_from(1, numbered_posts(kSegment - 1, 4));
+  EXPECT_EQ(bb.posts()[kSegment].reported_value,
+            static_cast<double>(kSegment));
+}
+
+TEST(PostLog, RangeReadsAcrossSegments) {
+  const Billboard bb = numbered_board(2 * kSegment + 10, 5000);
+  const PostRange posts = bb.posts();
+  ASSERT_EQ(posts.size(), 2 * kSegment + 10);
+  // first in segment 0, last in segment 2.
+  const std::size_t first = kSegment - 5;
+  const std::size_t last = 2 * kSegment + 7;
+  std::size_t expected = first;
+  posts.for_each(first, last, [&expected](const Post& post) {
+    EXPECT_EQ(post.reported_value, static_cast<double>(expected));
+    ++expected;
+  });
+  EXPECT_EQ(expected, last);
+  // A range that ends exactly on a boundary, and an empty one on it.
+  std::size_t visited = 0;
+  const auto count = [&visited](const Post&) { ++visited; };
+  posts.for_each(kSegment - 2, kSegment, count);
+  posts.for_each(kSegment, kSegment, count);
+  EXPECT_EQ(visited, 2u);
+
+  for (const std::size_t i : {std::size_t{0}, kSegment - 1, kSegment,
+                              2 * kSegment - 1, 2 * kSegment, last}) {
+    EXPECT_EQ(posts[i].reported_value, static_cast<double>(i)) << i;
+  }
+
+  const auto a = posts.begin() + static_cast<std::ptrdiff_t>(first);
+  const auto b = posts.begin() + static_cast<std::ptrdiff_t>(last);
+  EXPECT_EQ(b - a, static_cast<std::ptrdiff_t>(last - first));
+  EXPECT_EQ(a[5].reported_value, static_cast<double>(kSegment));
+  EXPECT_EQ((b - 1)->reported_value, static_cast<double>(last - 1));
+  std::size_t walked = first;
+  for (PostRange::iterator it = a; it != b; ++it, ++walked) {
+    ASSERT_EQ(it->reported_value, static_cast<double>(walked));
+  }
+  PostRange::iterator back = b;
+  --back;
+  EXPECT_EQ(back->reported_value, static_cast<double>(last - 1));
+  EXPECT_EQ(std::distance(posts.begin(), posts.end()),
+            static_cast<std::ptrdiff_t>(posts.size()));
+}
+
+TEST(PostLog, CommittedPostsNeverMove) {
+  Billboard bb(4, 8);
+  bb.commit_round(0, {make_post(0, 0, 1, 7.0)});
+  const Post* const first = &bb.posts()[0];
+  // Fill two more segments; the table grows, the posts stay put.
+  Billboard replica = numbered_board(kSegment - 1, kSegment - 1);
+  const Post* const last_of_segment = &replica.posts()[kSegment - 2];
+  Round round = 1;
+  for (std::size_t i = 1; i < 2 * kSegment + 1; ++i, ++round) {
+    bb.commit_round(round, {make_post(i % 4, round, i % 8)});
+  }
+  replica.commit_round_from(1, numbered_posts(kSegment - 1, 2 * kSegment));
+  ASSERT_EQ(bb.size(), 2 * kSegment + 1);
+  EXPECT_EQ(&bb.posts()[0], first);
+  EXPECT_EQ(first->reported_value, 7.0);
+  EXPECT_EQ(&replica.posts()[kSegment - 2], last_of_segment);
+  EXPECT_EQ(last_of_segment->reported_value,
+            static_cast<double>(kSegment - 2));
+}
+
+TEST(PostLog, SegmentedBoardEqualsAFlatCopy) {
+  const Billboard bb = numbered_board(kSegment + 100, 9000);
+  const std::vector<Post> arena = bb.posts().to_vector();
+  ASSERT_EQ(arena.size(), kSegment + 100);
+  // An arena board reads the same posts from one contiguous vector.
+  Billboard flat(4, 8, arena);
+  std::vector<PostId> ids(arena.size());
+  for (std::size_t i = 0; i < ids.size(); ++i) ids[i] = static_cast<PostId>(i);
+  flat.commit_ids(0, ids);
+  EXPECT_EQ(bb.posts(), flat.posts());
+  // One differing post past the boundary breaks equality.
+  Billboard other = numbered_board(kSegment + 99, 9000);
+  std::vector<Post> tail = numbered_posts(kSegment + 99, 1);
+  tail[0].positive = true;
+  other.commit_round_from(100, tail);
+  EXPECT_FALSE(bb.posts() == other.posts());
+}
+
+TEST(PostLog, ReserveAndMovePreserveContents) {
+  PostLog log;
+  log.reserve(3 * kSegment);
+  EXPECT_EQ(log.size(), 0u);
+  log.append({});
+  EXPECT_EQ(log.size(), 0u);
+  const std::vector<Post> posts = numbered_posts(0, kSegment + 1);
+  log.append(posts);
+  const Post* const stored = &PostRange(log)[kSegment];
+  PostLog moved(std::move(log));
+  EXPECT_EQ(moved.size(), kSegment + 1);
+  EXPECT_EQ(&PostRange(moved)[kSegment], stored);
+  EXPECT_EQ(PostRange(moved).to_vector(), posts);
+  PostLog assigned;
+  assigned.append(numbered_posts(0, 3));
+  assigned = std::move(moved);
+  EXPECT_EQ(PostRange(assigned).to_vector(), posts);
 }
 
 }  // namespace
