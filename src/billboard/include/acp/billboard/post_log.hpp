@@ -8,6 +8,13 @@
 // an empty board touches no post memory and a small one touches only the
 // pages its posts fill. Slack is at most one partly filled segment.
 //
+// A released log's segments go to a process-wide free list that the next
+// growing log takes from before it allocates, so a run that builds one
+// board per trial does not page-fault its log in again every trial. The
+// list holds at most the last released log's segments (post_log.cpp).
+// A recycled segment keeps the old posts' bytes; nothing reads them,
+// because every read stops at size().
+//
 // Post i lives at segment(i >> kSegmentShift)[i & kSegmentMask]. Readers
 // go through PostRange (post_range.hpp), which walks one segment at a
 // time.
@@ -45,8 +52,8 @@ class PostLog {
   }
 
   /// Appends `posts` in order: one memcpy per segment touched. Segments
-  /// are allocated before anything is copied, so a failed allocation
-  /// leaves the log unchanged.
+  /// are taken from the free list or allocated before anything is
+  /// copied, so a failed allocation leaves the log unchanged.
   void append(std::span<const Post> posts);
 
   /// Pre-sizes the segment table for `expected_posts` posts. Segments
@@ -54,6 +61,9 @@ class PostLog {
   void reserve(std::size_t expected_posts);
 
  private:
+  /// Extends the segment table to `needed` segments.
+  void grow(std::size_t needed);
+  /// Hands every segment to the free list and empties the log.
   void release() noexcept;
 
   std::vector<Post*> segments_;

@@ -179,6 +179,12 @@ class BillboardServerCore {
   void handle_pull(BoardState& board, std::span<const std::uint8_t> payload,
                    std::vector<std::uint8_t>& out);
   void send_error(std::vector<std::uint8_t>& out, const std::string& message);
+  /// A request that ran out of memory (std::bad_alloc) or asked for more
+  /// than a container can hold (std::length_error): the reply bytes from
+  /// `reply_start` on are replaced by one kError, and serving goes on.
+  void send_resource_error(std::vector<std::uint8_t>& out,
+                           std::size_t reply_start, bbwire::MsgType type,
+                           const char* reason);
 
   std::size_t worker_ = 0;
   std::size_t workers_ = 1;

@@ -1,6 +1,8 @@
 #include "acp/billboard/server_core.hpp"
 
 #include <algorithm>
+#include <new>
+#include <stdexcept>
 #include <utility>
 
 #include "acp/util/contracts.hpp"
@@ -103,6 +105,7 @@ bool BillboardServerCore::handle_frame(Session& session,
                                        std::vector<std::uint8_t>& out,
                                        const ForwardFn* forward) {
   const MsgType type = static_cast<MsgType>(frame.type);
+  const std::size_t reply_start = out.size();
   try {
     if (session.forwarded) {
       // The session is pinned to the owning worker; every frame —
@@ -134,6 +137,12 @@ bool BillboardServerCore::handle_frame(Session& session,
     // Backstop — the explicit pre-validation above should answer first.
     send_error(out, std::string("billboard contract violation: ") +
                         error.what());
+    return true;
+  } catch (const std::bad_alloc&) {
+    send_resource_error(out, reply_start, type, "out of memory");
+    return true;
+  } catch (const std::length_error& error) {
+    send_resource_error(out, reply_start, type, error.what());
     return true;
   }
 }
@@ -275,6 +284,7 @@ void BillboardServerCore::apply_forwarded(std::uint64_t token,
                                           std::span<const std::uint8_t> payload,
                                           std::vector<std::uint8_t>& out) {
   const MsgType msg_type = static_cast<MsgType>(type);
+  const std::size_t reply_start = out.size();
   try {
     if (msg_type == MsgType::kOpen) {
       if (remote_sessions_.find(token) != remote_sessions_.end()) {
@@ -316,6 +326,10 @@ void BillboardServerCore::apply_forwarded(std::uint64_t token,
   } catch (const ContractViolation& error) {
     send_error(out, std::string("billboard contract violation: ") +
                         error.what());
+  } catch (const std::bad_alloc&) {
+    send_resource_error(out, reply_start, msg_type, "out of memory");
+  } catch (const std::length_error& error) {
+    send_resource_error(out, reply_start, msg_type, error.what());
   }
 }
 
@@ -409,6 +423,18 @@ void BillboardServerCore::send_error(std::vector<std::uint8_t>& out,
                                      const std::string& message) {
   bbwire::encode_error(out, message);
   ++stats_.errors;
+}
+
+void BillboardServerCore::send_resource_error(std::vector<std::uint8_t>& out,
+                                              std::size_t reply_start,
+                                              MsgType type,
+                                              const char* reason) {
+  // Drop any partial reply, so the peer sees exactly one frame: the error.
+  // An open that threw stored nothing: a board enters a session or
+  // shared_boards_ only once it is fully built.
+  out.resize(reply_start);
+  send_error(out, std::string("server could not handle ") +
+                      bbwire::msg_type_name(type) + ": " + reason);
 }
 
 }  // namespace acp

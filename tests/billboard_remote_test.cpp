@@ -1,9 +1,16 @@
 // RemoteBillboard against a live BillboardServer, plus direct
 // BillboardServerCore hardening: commits, queries, pulls, shared boards,
 // error replies, stream-desync close semantics.
+#include <sys/resource.h>
+#include <unistd.h>
+
+#include <algorithm>
 #include <cstdint>
+#include <cstdlib>
+#include <fstream>
 #include <stdexcept>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -292,6 +299,95 @@ TEST(BillboardServerCore, OpenBeyondTheIdRangeIsAnError) {
   ASSERT_TRUE(core.on_bytes(session, frame, out));
   EXPECT_EQ(core.stats().boards, 1u);
   core.close_session(session);
+}
+
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+#define ACP_SANITIZER_SHADOW 1
+#elif defined(__has_feature)
+#if __has_feature(address_sanitizer) || __has_feature(thread_sanitizer)
+#define ACP_SANITIZER_SHADOW 1
+#endif
+#endif
+
+#ifndef ACP_SANITIZER_SHADOW
+/// The type and error text of the one reply frame in `out` (empty text
+/// for a non-error reply).
+std::pair<bbwire::MsgType, std::string> only_reply(
+    const std::vector<std::uint8_t>& out) {
+  net::FrameAssembler assembler;
+  assembler.append(out);
+  const auto reply = assembler.next();
+  if (!reply || assembler.next()) return {bbwire::MsgType{}, "not one frame"};
+  const auto type = static_cast<bbwire::MsgType>(reply->type);
+  if (type != bbwire::MsgType::kError) return {type, ""};
+  return {type, bbwire::decode_error(reply->payload).message};
+}
+
+/// In a child with little address space left: an open of n = m = 2^28
+/// through `on_bytes`, then through `apply_forwarded`, each followed by a
+/// small open on the same core. Exits 0 when every step answered as
+/// expected.
+[[noreturn]] void open_too_large_then_small() {
+  // Room for the small boards, far too little for a 2^28-slot ledger.
+  std::ifstream statm("/proc/self/statm");
+  std::uint64_t pages = 0;
+  statm >> pages;
+  rlimit lowered{};
+  if (getrlimit(RLIMIT_AS, &lowered) != 0) std::_Exit(2);
+  lowered.rlim_cur = std::min<rlim_t>(
+      lowered.rlim_max, static_cast<rlim_t>(pages) *
+                                static_cast<rlim_t>(sysconf(_SC_PAGESIZE)) +
+                            (rlim_t{256} << 20));
+  if (setrlimit(RLIMIT_AS, &lowered) != 0) std::_Exit(2);
+
+  const std::uint64_t huge = std::uint64_t{1} << 28;
+  BillboardServerCore core;
+  const std::uint64_t session = core.open_session();
+  const auto open = [&](const bbwire::OpenMsg& msg) {
+    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> out;
+    bbwire::encode_open(frame, msg);
+    if (!core.on_bytes(session, frame, out)) std::_Exit(3);
+    return only_reply(out);
+  };
+  const auto forwarded_open = [&](std::uint64_t token,
+                                  const bbwire::OpenMsg& msg) {
+    std::vector<std::uint8_t> frame;
+    std::vector<std::uint8_t> out;
+    bbwire::encode_open(frame, msg);
+    net::FrameAssembler assembler;
+    assembler.append(frame);
+    const auto parsed = assembler.next();
+    core.apply_forwarded(token, parsed->type, parsed->payload, out);
+    return only_reply(out);
+  };
+  bool ok = true;
+  const auto expect_error = [&](const auto& reply) {
+    ok = ok && reply.first == bbwire::MsgType::kError &&
+         contains(reply.second, "out of memory");
+  };
+  expect_error(open({0, huge, huge, ""}));
+  expect_error(open({0, huge, huge, "big"}));
+  expect_error(forwarded_open(7, {0, huge, huge, "big"}));
+  ok = ok && core.stats().errors == 3 && core.stats().boards == 0;
+  // No half-built "big" was kept: the name opens with small dimensions,
+  // and the session that failed can still open a board.
+  ok = ok && open({0, 4, 4, "big"}).first == bbwire::MsgType::kOpenOk;
+  ok = ok && forwarded_open(7, {0, 4, 4, "big"}).first ==
+                 bbwire::MsgType::kOpenOk;
+  ok = ok && core.stats().boards == 1 && core.stats().errors == 3;
+  std::_Exit(ok ? 0 : 1);
+}
+#endif
+
+TEST(BillboardServerCore, FailedAllocationAnswersErrorAndKeepsServing) {
+#ifdef ACP_SANITIZER_SHADOW
+  GTEST_SKIP() << "sanitizer shadow memory needs the address space that "
+                  "this test takes away";
+#else
+  testing::GTEST_FLAG(death_test_style) = "threadsafe";
+  EXPECT_EXIT(open_too_large_then_small(), testing::ExitedWithCode(0), "");
+#endif
 }
 
 TEST(BillboardServerCore, RequestBeforeOpenIsAnError) {

@@ -1,11 +1,16 @@
 #include "acp/billboard/billboard.hpp"
 
 #include <algorithm>
+#include <cstdint>
 #include <iterator>
+#include <thread>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
 
+#include "acp/obs/metrics.hpp"
 #include "acp/util/contracts.hpp"
 
 namespace acp {
@@ -354,6 +359,110 @@ TEST(PostLog, ReserveAndMovePreserveContents) {
   assigned.append(numbered_posts(0, 3));
   assigned = std::move(moved);
   EXPECT_EQ(PostRange(assigned).to_vector(), posts);
+}
+
+/// Segments PostLogs took from the free list and from the allocator while
+/// `fill` ran, read from the billboard.segments.* counters.
+template <typename Fill>
+std::pair<std::uint64_t, std::uint64_t> segments_during(Fill fill) {
+  obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+  registry.reset();
+  obs::MetricsRegistry::set_enabled(true);
+  fill();
+  obs::MetricsRegistry::set_enabled(false);
+  const std::uint64_t reused =
+      registry.counter("billboard.segments.reused").value();
+  const std::uint64_t allocated =
+      registry.counter("billboard.segments.allocated").value();
+  registry.reset();
+  return {reused, allocated};
+}
+
+TEST(PostLog, RecycledSegmentsNeverExposeOldPosts) {
+  // Three segments of numbered posts go back to the free list.
+  { const Billboard old = numbered_board(3 * kSegment - 10, 20000); }
+  // A smaller board reuses two of them. Its own posts carry 10^9 + i, so
+  // any of the old board's numbers showing through is a failure.
+  constexpr double kOffset = 1e9;
+  std::vector<Post> fresh = numbered_posts(0, kSegment + 5);
+  for (std::size_t i = 0; i < fresh.size(); ++i) {
+    fresh[i].reported_value = kOffset + static_cast<double>(i);
+  }
+  Billboard bb(4, 8, Billboard::Mode::kReplica);
+  const auto [reused, allocated] =
+      segments_during([&] { bb.commit_round_from(0, fresh); });
+  EXPECT_EQ(reused, 2u);
+  EXPECT_EQ(allocated, 0u);
+
+  const PostRange posts = bb.posts();
+  ASSERT_EQ(posts.size(), kSegment + 5);
+  std::size_t visited = 0;
+  posts.for_each(0, posts.size(), [&visited](const Post& post) {
+    EXPECT_EQ(post.reported_value, kOffset + static_cast<double>(visited));
+    ++visited;
+  });
+  EXPECT_EQ(visited, kSegment + 5);
+  for (const std::size_t i : {std::size_t{0}, kSegment - 1, kSegment,
+                              kSegment + 4}) {
+    EXPECT_EQ(posts[i].reported_value, kOffset + static_cast<double>(i)) << i;
+  }
+  EXPECT_EQ(std::distance(posts.begin(), posts.end()),
+            static_cast<std::ptrdiff_t>(kSegment + 5));
+  EXPECT_EQ(posts.to_vector(), fresh);
+}
+
+TEST(PostLog, FreeListKeepsOnlyTheLastReleasedLog) {
+  { PostLog five; five.append(numbered_posts(0, 4 * kSegment + 1)); }
+  {
+    PostLog empty;
+    PostLog one;
+    one.append(numbered_posts(0, 1));
+    PostLog kept(std::move(one));
+  }  // `kept` releases one segment; the empty and moved-from logs after
+     // it give nothing back and leave the list alone.
+  const std::vector<Post> three_segments = numbered_posts(0, 3 * kSegment);
+  auto [reused, allocated] = segments_during([&] {
+    PostLog three;
+    three.append(three_segments);
+  });
+  EXPECT_EQ(reused, 1u);
+  EXPECT_EQ(allocated, 2u);
+  // Now the three-segment log was the last released.
+  std::tie(reused, allocated) = segments_during([] {
+    PostLog four;
+    four.append(numbered_posts(0, 3 * kSegment + 1));
+  });
+  EXPECT_EQ(reused, 3u);
+  EXPECT_EQ(allocated, 1u);
+}
+
+TEST(PostLog, ConcurrentBoardsRecycleSafely) {
+  constexpr int kThreads = 4;
+  constexpr int kBoards = 6;
+  std::vector<std::thread> threads;
+  std::vector<int> failures(kThreads, 0);
+  for (int t = 0; t < kThreads; ++t) {
+    threads.emplace_back([t, &failures] {
+      for (int b = 0; b < kBoards; ++b) {
+        // Sizes differ per thread and board, so boards of one to three
+        // segments hand segments to each other through the list.
+        const std::size_t size =
+            kSegment / 2 + static_cast<std::size_t>((t + b) % 5) * kSegment / 2;
+        const Billboard bb = numbered_board(size, 7000);
+        const PostRange posts = bb.posts();
+        std::size_t expected = 0;
+        posts.for_each(0, posts.size(), [&](const Post& post) {
+          if (post.reported_value != static_cast<double>(expected)) {
+            ++failures[static_cast<std::size_t>(t)];
+          }
+          ++expected;
+        });
+        if (expected != size) ++failures[static_cast<std::size_t>(t)];
+      }
+    });
+  }
+  for (std::thread& thread : threads) thread.join();
+  for (int t = 0; t < kThreads; ++t) EXPECT_EQ(failures[t], 0) << t;
 }
 
 }  // namespace
