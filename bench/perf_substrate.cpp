@@ -772,18 +772,17 @@ int main() {
       config.contact_interval = 16;  // digest only; exchange ignores
       config.max_rounds = kMaxRounds;
       config.seed = 23;
-      obs::BandwidthMeter::global().reset();
-      obs::BandwidthMeter::set_enabled(true);
+      obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+      registry.reset();
+      obs::MetricsRegistry::set_enabled(true);
       const RunResult result = GossipEngine::run(
           world, population,
           [&] { return std::make_unique<LightFloodProtocol>(kPosters); },
           adversary, config);
-      obs::BandwidthMeter::set_enabled(false);
-      const obs::BandwidthSnapshot snap =
-          obs::BandwidthMeter::global().snapshot();
-      obs::BandwidthMeter::global().reset();
+      obs::MetricsRegistry::set_enabled(false);
       const auto channel_bits = [&](obs::IoChannel channel) {
-        return snap.channels[static_cast<std::size_t>(channel)].write_bits;
+        return registry.counter(obs::io_metric_name(channel, "write_bits"))
+            .value();
       };
       const std::uint64_t bits =
           channel_bits(obs::IoChannel::kGossipExchange) +

@@ -27,7 +27,7 @@ smoke test against gross regressions, not a profiler):
      algorithmic rewrites, not thread scaling.
   4. gossip wire cost: wire.reduction (legacy exchange bits per round
      divided by digest+delta bits per round, measured by the in-process
-     BandwidthMeter on the same workload) must stay >=
+     io.* registry counters on the same workload) must stay >=
      --min-wire-reduction (default 10.0). Like the speedups, this is a
      same-process ratio under a deterministic wire-size model, so it is
      machine-independent and gets a hard floor.

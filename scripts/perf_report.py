@@ -2,9 +2,10 @@
 """Render an acpsim run report (+ optional bench results) as markdown.
 
 Inputs:
-  --report REPORT.json     an "acp.report.v3" file written by
+  --report REPORT.json     an "acp.report.v4" file written by
                            `acpsim --profile --report-json REPORT.json`.
-                           Validated strictly; exit 1 on schema mismatch.
+                           Validated strictly; exit 1 on schema mismatch
+                           (a v3 report is refused: rerun acpsim).
   --bench BENCH_PERF.json  optional "acp.perf.v1" file from a fresh
                            bench/perf_substrate run — rendered as an
                            ns/op table.
@@ -17,9 +18,10 @@ The markdown answers "where did the time go": the slice timer's parts on
 the kernel thread (engine.kernel.{adversary,players,commit,accounting}
 plus the leftover), the parallel kernel's lane-summed work, wake,
 barrier and merge with the shard-imbalance histogram, thread-pool wake
-cost, and per-channel bandwidth — plus the ns/op trajectory vs the
+cost, and per-channel bits moved — plus the ns/op trajectory vs the
 checked-in baseline when bench files are given. Every number comes from
-the report's registry sections (timers, histograms) and bandwidth.
+the report's registry sections (timers, histograms, and the io.*
+channel counters).
 CI uploads the result as an artifact (see perf-smoke in ci.yml).
 
 Stdlib only. Exit 0 = rendered, 1 = invalid/unreadable input.
@@ -45,8 +47,11 @@ def load(path):
 
 # ---------------------------------------------------------------- schema
 
+IO_FIELDS = ("read_ops", "read_bits", "write_ops", "write_bits")
+
+
 def validate_report(doc, path):
-    """Strict acp.report.v3 check: every section the renderer touches
+    """Strict acp.report.v4 check: every section the renderer touches
     must be present with the right shape. Returns a list of problems."""
     errors = []
 
@@ -57,19 +62,30 @@ def validate_report(doc, path):
             return None
         return value
 
-    if doc.get("schema") != "acp.report.v3":
-        print(f"perf_report: {path}: schema is {doc.get('schema')!r}, "
-              "want 'acp.report.v3'", file=sys.stderr)
+    if doc.get("schema") == "acp.report.v3":
+        print(f"perf_report: {path}: acp.report.v3 is no longer read (its "
+              "bandwidth section became the io.* counters in v4); rerun "
+              "acpsim to get a v4 report", file=sys.stderr)
         return ["schema"]
-    if "phases" in doc:
-        errors.append("$.phases: not part of acp.report.v3")
+    if doc.get("schema") != "acp.report.v4":
+        print(f"perf_report: {path}: schema is {doc.get('schema')!r}, "
+              "want 'acp.report.v4'", file=sys.stderr)
+        return ["schema"]
+    for section in ("phases", "bandwidth"):
+        if section in doc:
+            errors.append(f"$.{section}: not part of acp.report.v4")
     config = need(doc, "config", dict, "$")
     if config is not None:
         for key in ("n", "m", "trials", "seed", "engine", "threads",
                     "engine_threads", "engine_threads_resolved"):
             need(config, key, (int, float, str), "config")
     need(doc, "metrics", dict, "$")
-    need(doc, "counters", dict, "$")
+    counters = need(doc, "counters", dict, "$")
+    for name in (counters or {}):
+        if name.startswith("io."):
+            need(counters, name, int, "counters")
+            if name.rsplit(".", 1)[-1] not in IO_FIELDS:
+                errors.append(f"counters.{name}: unknown io field")
     need(doc, "gauges", dict, "$")
     timers = need(doc, "timers", dict, "$")
     for name, timer in (timers or {}).items():
@@ -82,17 +98,6 @@ def validate_report(doc, path):
         need(histogram, "buckets", list, f"histograms.{name}")
         for key in ("underflow", "overflow"):
             need(histogram, key, int, f"histograms.{name}")
-    bandwidth = need(doc, "bandwidth", dict, "$")
-    if bandwidth:  # non-empty: metered run
-        need(bandwidth, "engine.io.bits_read", int, "bandwidth")
-        need(bandwidth, "engine.io.bits_written", int, "bandwidth")
-        channels = need(bandwidth, "channels", dict, "bandwidth")
-        for name, channel in (channels or {}).items():
-            for key in ("read_ops", "read_bits", "write_ops", "write_bits"):
-                need(channel, key, int, f"bandwidth.channels.{name}")
-        per_player = need(bandwidth, "per_player", dict, "bandwidth")
-        if per_player is not None:
-            need(per_player, "players", int, "bandwidth.per_player")
     for error in errors:
         print(f"perf_report: {path}: {error}", file=sys.stderr)
     return errors
@@ -234,17 +239,31 @@ def render_kernel(timers, histograms, config, out):
             render_histogram(depth, "queue depth", out)
 
 
-def render_bandwidth(bandwidth, out):
-    out.append("## Bandwidth\n")
-    if not bandwidth:
-        out.append("_Bandwidth metering was off for this run._\n")
+def io_channels(counters):
+    """{channel: {field: value}} from the io.<channel>.<field> counters,
+    in counter (sorted) order."""
+    channels = {}
+    for name, value in counters.items():
+        if name.startswith("io."):
+            channel, field = name[len("io."):].rsplit(".", 1)
+            channels.setdefault(channel, dict.fromkeys(IO_FIELDS, 0))
+            channels[channel][field] = value
+    return channels
+
+
+def render_io(counters, out):
+    out.append("## Bits moved\n")
+    channels = io_channels(counters)
+    if not channels:
+        out.append("_No io.* counters (metrics were off for this run)._\n")
         return
-    out.append(f"Engine IO: **{fmt_bits(bandwidth['engine.io.bits_read'])} "
-               f"read**, **{fmt_bits(bandwidth['engine.io.bits_written'])} "
-               f"written**.\n")
+    read = sum(c["read_bits"] for c in channels.values())
+    written = sum(c["write_bits"] for c in channels.values())
+    out.append(f"All channels: **{fmt_bits(read)} read**, "
+               f"**{fmt_bits(written)} written**.\n")
     out.append("| channel | read ops | read | write ops | write |")
     out.append("|---|---:|---:|---:|---:|")
-    for name, channel in bandwidth["channels"].items():
+    for name, channel in channels.items():
         if channel["read_ops"] == 0 and channel["write_ops"] == 0:
             continue
         out.append(f"| {name} | {channel['read_ops']} | "
@@ -252,14 +271,6 @@ def render_bandwidth(bandwidth, out):
                    f"{channel['write_ops']} | "
                    f"{fmt_bits(channel['write_bits'])} |")
     out.append("")
-    per_player = bandwidth["per_player"]
-    if per_player["players"]:
-        out.append(f"Per player ({per_player['players']} with traffic): "
-                   f"read mean {fmt_bits(int(per_player['read_bits_mean']))} "
-                   f"/ max {fmt_bits(per_player['read_bits_max'])}, "
-                   f"write mean "
-                   f"{fmt_bits(int(per_player['write_bits_mean']))} "
-                   f"/ max {fmt_bits(per_player['write_bits_max'])}.\n")
 
 
 def render_bench(bench, baseline, out):
@@ -346,7 +357,7 @@ def main():
     parser = argparse.ArgumentParser(
         description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
-    parser.add_argument("--report", help="acp.report.v3 run report")
+    parser.add_argument("--report", help="acp.report.v4 run report")
     parser.add_argument("--bench", help="acp.perf.v1 BENCH_PERF.json")
     parser.add_argument("--baseline", help="baseline BENCH_PERF.json for "
                         "the delta column (requires --bench)")
@@ -364,7 +375,7 @@ def main():
         render_config(report["config"], out)
         render_kernel(report["timers"], report["histograms"],
                       report["config"], out)
-        render_bandwidth(report["bandwidth"], out)
+        render_io(report["counters"], out)
     if args.bench:
         bench = load(args.bench)
         baseline = load(args.baseline) if args.baseline else None

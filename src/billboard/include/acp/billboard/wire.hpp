@@ -18,7 +18,7 @@
 //
 // A Post travels as: author varint · round zigzag-varint · object varint ·
 // reported_value 8B LE IEEE-754 · flags u8 (bit 0 = positive). At the
-// modeled 161 wire bits per post (BandwidthMeter::kPostWireBits) this
+// modeled 161 wire bits per post (obs::kPostWireBits) this
 // concrete encoding averages ~12-14 bytes — the same order as the model.
 //
 // Decoders validate everything against the declared board dimensions and

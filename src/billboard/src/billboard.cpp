@@ -7,17 +7,13 @@ namespace acp {
 namespace {
 
 // Authoritative commits are the protocol's writes to the shared board,
-// attributed to each post's author. Replica commits are excluded: a
-// replica ingesting gossip would double-count traffic already metered at
-// the gossip exchange.
-void meter_commit(Billboard::Mode mode, std::span<const Post> posts) {
-  if (mode != Billboard::Mode::kAuthoritative || !obs::BandwidthMeter::enabled()) {
-    return;
-  }
-  for (const Post& p : posts) {
-    obs::BandwidthMeter::add_write_for(obs::IoChannel::kBillboardCommit,
-                                       obs::kPostWireBits, p.author);
-  }
+// metered once per batch. Replica commits are excluded: a replica
+// ingesting gossip would double-count traffic already metered at the
+// gossip exchange.
+void meter_commit(Billboard::Mode mode, std::size_t posts) {
+  if (mode != Billboard::Mode::kAuthoritative) return;
+  obs::meter_write(obs::IoChannel::kBillboardCommit, posts,
+                   posts * obs::kPostWireBits);
 }
 
 }  // namespace
@@ -69,7 +65,7 @@ void Billboard::commit_round_from(Round round, std::span<const Post> posts) {
   ACP_EXPECTS(arena_ == nullptr);
   const std::uint64_t epoch = open_round(round);
   for (const Post& p : posts) check_post(round, p, epoch);
-  meter_commit(mode_, posts);
+  meter_commit(mode_, posts.size());
   log_.append(posts);  // a failed allocation leaves the board unchanged
   last_round_ = round;
 }

@@ -100,8 +100,7 @@ void RemoteBillboard::commit_round_from(Round round,
     // server — an exception, not a recovery path.
     out_.clear();
     bbwire::encode_commit(out_, round, posts);
-    obs::BandwidthMeter::add_write(obs::IoChannel::kBillboardRpcPost,
-                                   out_.size() * 8);
+    obs::meter_write(obs::IoChannel::kBillboardRpcPost, 1, out_.size() * 8);
     net::send_all(fd_.get(), out_);
     mirror_.commit_round_from(round, posts);
     pending_acks_.push_back(mirror_.size());
@@ -142,8 +141,8 @@ void RemoteBillboard::reserve(std::size_t expected_posts) {
   // before any later commit lands. No reply keeps the hint free.
   out_.clear();
   bbwire::encode_reserve(out_, expected_posts);
-  obs::BandwidthMeter::add_write(obs::IoChannel::kBillboardRpcSnapshot,
-                                 out_.size() * 8);
+  obs::meter_write(obs::IoChannel::kBillboardRpcSnapshot, 1,
+                   out_.size() * 8);
   net::send_all(fd_.get(), out_);
   mirror_.reserve(expected_posts);
 }
@@ -276,7 +275,7 @@ void RemoteBillboard::pull_tail(std::uint64_t server_size,
 }
 
 net::Frame RemoteBillboard::transact(obs::IoChannel channel) {
-  obs::BandwidthMeter::add_write(channel, out_.size() * 8);
+  obs::meter_write(channel, 1, out_.size() * 8);
   net::send_all(fd_.get(), out_);
   return read_frame(channel);
 }
@@ -284,8 +283,8 @@ net::Frame RemoteBillboard::transact(obs::IoChannel channel) {
 net::Frame RemoteBillboard::read_frame(obs::IoChannel channel) {
   for (;;) {
     if (std::optional<net::Frame> frame = assembler_.next()) {
-      obs::BandwidthMeter::add_read(
-          channel, (net::kFrameHeaderSize + frame->payload.size()) * 8);
+      obs::meter_read(channel, 1,
+                      (net::kFrameHeaderSize + frame->payload.size()) * 8);
       if (frame_type(*frame) == MsgType::kError) {
         const bbwire::ErrorMsg error = bbwire::decode_error(frame->payload);
         throw std::runtime_error("billboard server " + peer_ +

@@ -40,11 +40,10 @@ void VoteLedger::ingest(const Billboard& billboard) {
   ACP_EXPECTS(billboard.num_players() == num_players_);
   ACP_EXPECTS(billboard.num_objects() == num_objects_);
   const PostRange posts = billboard.posts();
-  if (obs::BandwidthMeter::enabled() && posts.size() > posts_consumed_) {
+  if (posts.size() > posts_consumed_) {
     // Every not-yet-consumed post crosses the board->ledger boundary once.
-    obs::BandwidthMeter::add_read(
-        obs::IoChannel::kLedgerIngest,
-        (posts.size() - posts_consumed_) * obs::kPostWireBits);
+    obs::meter_read(obs::IoChannel::kLedgerIngest, 1,
+                    (posts.size() - posts_consumed_) * obs::kPostWireBits);
   }
   posts.for_each(posts_consumed_, posts.size(), [this](const Post& post) {
     const std::size_t p = post.author.value();
@@ -161,10 +160,9 @@ Count VoteLedger::votes_in_window(ObjectId object, Round begin,
   const auto count =
       std::count_if(window.begin(), window.end(),
                     [object](const VoteEvent& e) { return e.object == object; });
-  if (obs::BandwidthMeter::enabled() && count != 0) {
-    obs::BandwidthMeter::add_read(
-        obs::IoChannel::kWindowQuery,
-        static_cast<std::uint64_t>(count) * obs::kVoteEventWireBits);
+  if (count != 0) {
+    obs::meter_read(obs::IoChannel::kWindowQuery, 1,
+                    static_cast<std::uint64_t>(count) * obs::kVoteEventWireBits);
   }
   return static_cast<Count>(count);
 }
@@ -175,10 +173,9 @@ std::uint32_t VoteLedger::count_window(
   // and each player votes O(f) times total under kFirstPositive). The
   // per-object counters are generation-stamped members: no O(m) allocation
   // or zeroing per call, only the touched entries are ever reset.
-  if (obs::BandwidthMeter::enabled() && !window.empty()) {
-    obs::BandwidthMeter::add_read(
-        obs::IoChannel::kWindowQuery,
-        static_cast<std::uint64_t>(window.size()) * obs::kVoteEventWireBits);
+  if (!window.empty()) {
+    obs::meter_read(obs::IoChannel::kWindowQuery, 1,
+                    window.size() * obs::kVoteEventWireBits);
   }
   if (window_stamp_.size() != num_objects_) {
     window_stamp_.assign(num_objects_, 0);

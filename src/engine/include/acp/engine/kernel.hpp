@@ -93,7 +93,6 @@
 #include "acp/billboard/billboard.hpp"
 #include "acp/billboard/service.hpp"
 #include "acp/concurrency/round_gang.hpp"
-#include "acp/obs/bandwidth.hpp"
 #include "acp/obs/metrics.hpp"
 #include "acp/engine/accounting.hpp"
 #include "acp/engine/adversary.hpp"
@@ -268,11 +267,6 @@ class ParallelAllActivePolicy {
     const std::size_t shards = std::min(count, gang_->lanes() * kShardsPerLane);
 
     const bool timed = obs::MetricsRegistry::enabled();
-    // The kernel thread's attribution sink, handed into the lanes so
-    // reads metered inside evaluate()/stage() land in this run's
-    // per-player slots. Null when bandwidth metering is off.
-    obs::BandwidthMeter::Sink* const io_sink =
-        obs::BandwidthMeter::current_sink();
 
     if (sinks_.size() < shards) sinks_.resize(shards);
     errors_.assign(shards, nullptr);
@@ -282,7 +276,6 @@ class ParallelAllActivePolicy {
     const auto released = timed ? Clock::now() : Clock::time_point{};
 
     auto work = [&](std::size_t /*lane*/) {
-      const obs::BandwidthMeter::SinkScope io_scope(io_sink);
       bool first_claim = true;
       for (;;) {
         const std::size_t s =
@@ -459,10 +452,6 @@ RunResult run_kernel(const World& world, const Population& population,
                            spec.observer, spec.slices_counter,
                            spec.probes_counter, spec.engine_threads);
 
-  // Per-run, per-player bandwidth attribution (no-op when metering is
-  // disabled). Folded into the global meter when the run finishes.
-  const obs::BandwidthMeter::RunScope io_run(n);
-
   // The slice timer and its parts on the kernel thread. The parts plus a
   // leftover (churn, begin_slice, on_active_roster) add up to the slice.
   obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
@@ -519,9 +508,6 @@ RunResult run_kernel(const World& world, const Population& population,
     // immutable World, slice-frozen billboard and protocol tables).
     const auto evaluate = [&](PlayerId p) -> ProbeEval {
       ProbeEval eval;
-      // Billboard/ledger reads inside choose_probe are this player's
-      // traffic (one relaxed load when metering is off).
-      const obs::BandwidthMeter::PlayerScope io_player(p);
       const auto choice =
           stepper.choose_probe(p, slice, billboard, streams.player(p));
       if (!choice.has_value()) {
@@ -552,7 +538,6 @@ RunResult run_kernel(const World& world, const Population& population,
       if (!eval.object.has_value()) return false;
       ++sink.probes;
       accounting.stage_probe(p, eval.cost, eval.good);
-      const obs::BandwidthMeter::PlayerScope io_player(p);
       const StepOutcome step =
           stepper.on_probe_result(p, slice, *eval.object, eval.value,
                                   eval.cost, eval.locally_good,

@@ -38,8 +38,8 @@
 // every node costs n ids, not n 32-byte copies. Each replica still
 // commits, validates and reads its own posts in its own arrival order;
 // only the bytes are shared. What the wire carries is unchanged: the
-// BandwidthMeter charges every delivered post its full wire size, so
-// the bits-per-node accounting does not see the sharing.
+// io.* counters charge every delivered post its full wire size, so the
+// bit accounting does not see the sharing.
 //
 // The interesting measurement (bench tab10_gossip): DISTILL's phase
 // machinery assumes a consistent view; under gossip, views — and hence

@@ -79,13 +79,11 @@ RunResult GossipEngine::run(const World& world, const Population& population,
   RunAccounting accounting(population, world.num_objects(), config.seed,
                            config.observer, "engine.gossip.rounds",
                            "engine.gossip.probes");
-  // Per-run, per-player bandwidth attribution (no-op when metering is
-  // off). Gossip traffic is metered per overlay link: a transfer charges
-  // the sender's bits_written and the receiver's bits_read, lost contacts
-  // at neither end. The exchange substrate reports on gossip.exchange;
-  // the digest substrate splits control traffic (summaries, digests,
-  // want-lists → gossip.digest) from payload (gossip.delta).
-  const obs::BandwidthMeter::RunScope io_run(n);
+  // Gossip traffic is metered per overlay link: a transfer is one write
+  // at the sender and one read at the receiver, a lost contact neither.
+  // The exchange substrate reports on gossip.exchange; the digest
+  // substrate splits control traffic (summaries, digests, want-lists →
+  // gossip.digest) from payload (gossip.delta).
   obs::TimerStat& round_timer =
       obs::MetricsRegistry::global().timer("engine.gossip.round");
   // Per-phase breakdown of the round (visible via --report-json): the
@@ -222,18 +220,12 @@ RunResult GossipEngine::run(const World& world, const Population& population,
   // global sequence log into `to_node`, metering it as one delta message.
   // The whole range is offered with a single tracker lookup; the author
   // goes hot only if the receiver's prefix actually advanced.
-  auto send_delta = [&](std::size_t sender, Node& to_node,
-                        std::size_t receiver, std::uint32_t author,
+  auto send_delta = [&](Node& to_node, std::uint32_t author,
                         SeqTracker::Seq from, SeqTracker::Seq to) {
-    if (obs::BandwidthMeter::enabled()) {
-      const std::uint64_t bits =
-          obs::kDeltaHeaderWireBits +
-          static_cast<std::uint64_t>(to - from) * obs::kPostWireBits;
-      obs::BandwidthMeter::add_write_for(obs::IoChannel::kGossipDelta, bits,
-                                         PlayerId{sender});
-      obs::BandwidthMeter::add_read_for(obs::IoChannel::kGossipDelta, bits,
-                                        PlayerId{receiver});
-    }
+    obs::meter_transfer(
+        obs::IoChannel::kGossipDelta,
+        obs::kDeltaHeaderWireBits +
+            static_cast<std::uint64_t>(to - from) * obs::kPostWireBits);
     if (!to_node.present) return;  // Byzantine and absent nodes absorb
     const std::vector<PostId>& log = author_log[author];
     if (to_node.tracker.offer_range(
@@ -256,14 +248,8 @@ RunResult GossipEngine::run(const World& world, const Population& population,
   std::vector<DeltaRange> sync_to_a;
   std::vector<DeltaRange> sync_to_b;
 
-  const auto meter_digest = [&](std::size_t writer, std::size_t reader,
-                                std::uint64_t bits) {
-    if (obs::BandwidthMeter::enabled() && bits > 0) {
-      obs::BandwidthMeter::add_write_for(obs::IoChannel::kGossipDigest, bits,
-                                         PlayerId{writer});
-      obs::BandwidthMeter::add_read_for(obs::IoChannel::kGossipDigest, bits,
-                                        PlayerId{reader});
-    }
+  const auto meter_digest = [](std::uint64_t bits) {
+    if (bits > 0) obs::meter_transfer(obs::IoChannel::kGossipDigest, bits);
   };
 
   // One-directional digest step: `from` advertises `hot_authors` to `to`;
@@ -295,9 +281,9 @@ RunResult GossipEngine::run(const World& world, const Population& population,
       want_scratch.push_back(DeltaRange{author, hw_b, hw_a});
     }
     // The want-list travels receiver -> sender before any delta flows.
-    meter_digest(to, from, want_bits);
+    meter_digest(want_bits);
     for (const DeltaRange& r : want_scratch) {
-      send_delta(from, b, to, r.author, r.from, r.to);
+      send_delta(b, r.author, r.from, r.to);
     }
   };
 
@@ -307,10 +293,10 @@ RunResult GossipEngine::run(const World& world, const Population& population,
   auto full_sync = [&](std::size_t p, std::size_t t) {
     Node& a = nodes[p];
     Node& b = nodes[t];
-    meter_digest(p, t, static_cast<std::uint64_t>(a.tracker.entries().size()) *
-                           obs::kDigestEntryWireBits);
-    meter_digest(t, p, static_cast<std::uint64_t>(b.tracker.entries().size()) *
-                           obs::kDigestEntryWireBits);
+    meter_digest(static_cast<std::uint64_t>(a.tracker.entries().size()) *
+                 obs::kDigestEntryWireBits);
+    meter_digest(static_cast<std::uint64_t>(b.tracker.entries().size()) *
+                 obs::kDigestEntryWireBits);
     // One linear merge over the two sorted digests computes both
     // directions' repair ranges against the pre-contact state; deltas are
     // applied afterwards so neither scan runs over a mutating vector.
@@ -347,10 +333,10 @@ RunResult GossipEngine::run(const World& world, const Population& population,
       }
     }
     for (const DeltaRange& r : sync_to_b) {
-      send_delta(p, b, t, r.author, r.from, r.to);
+      send_delta(b, r.author, r.from, r.to);
     }
     for (const DeltaRange& r : sync_to_a) {
-      send_delta(t, a, p, r.author, r.from, r.to);
+      send_delta(a, r.author, r.from, r.to);
     }
   };
 
@@ -364,15 +350,14 @@ RunResult GossipEngine::run(const World& world, const Population& population,
     // Contact opener: summary + p's hot digest, paid whether or not the
     // target cooperates (Byzantine absorbers read and drop — the delta
     // they never ask for is the bandwidth the digest substrate saves).
-    meter_digest(p, t,
-                 obs::kGossipSummaryWireBits +
-                     static_cast<std::uint64_t>(a.hot.size()) *
-                         obs::kDigestEntryWireBits);
+    meter_digest(obs::kGossipSummaryWireBits +
+                 static_cast<std::uint64_t>(a.hot.size()) *
+                     obs::kDigestEntryWireBits);
     if (!b.present) return;
     hot_exchange(p, t, a.hot);
     if (config.pull && !b.hot.empty()) {
-      meter_digest(t, p, static_cast<std::uint64_t>(b.hot.size()) *
-                             obs::kDigestEntryWireBits);
+      meter_digest(static_cast<std::uint64_t>(b.hot.size()) *
+                   obs::kDigestEntryWireBits);
       hot_exchange(t, p, b.hot);
     }
     if (repair && (a.tracker.count() != b.tracker.count() ||
@@ -452,14 +437,8 @@ RunResult GossipEngine::run(const World& world, const Population& population,
                 gossip_rng.bernoulli(config.loss_prob)) {
               continue;
             }
-            if (obs::BandwidthMeter::enabled()) {
-              const std::uint64_t bits =
-                  node.fresh.size() * obs::kPostWireBits;
-              obs::BandwidthMeter::add_write_for(
-                  obs::IoChannel::kGossipExchange, bits, PlayerId{p});
-              obs::BandwidthMeter::add_read_for(
-                  obs::IoChannel::kGossipExchange, bits, PlayerId{target});
-            }
+            obs::meter_transfer(obs::IoChannel::kGossipExchange,
+                                node.fresh.size() * obs::kPostWireBits);
             for (const PostId idx : node.fresh) deliver(target, idx);
           }
         }
@@ -476,14 +455,8 @@ RunResult GossipEngine::run(const World& world, const Population& population,
                 gossip_rng.bernoulli(config.loss_prob)) {
               continue;
             }
-            if (obs::BandwidthMeter::enabled()) {
-              const std::uint64_t bits =
-                  nodes[source].fresh.size() * obs::kPostWireBits;
-              obs::BandwidthMeter::add_write_for(
-                  obs::IoChannel::kGossipExchange, bits, PlayerId{source});
-              obs::BandwidthMeter::add_read_for(
-                  obs::IoChannel::kGossipExchange, bits, PlayerId{p});
-            }
+            obs::meter_transfer(obs::IoChannel::kGossipExchange,
+                                nodes[source].fresh.size() * obs::kPostWireBits);
             for (const PostId idx : nodes[source].fresh) deliver(p, idx);
           }
         }
@@ -510,15 +483,12 @@ RunResult GossipEngine::run(const World& world, const Population& population,
       for (std::size_t k = 0; k < std::max<std::size_t>(config.fanout, 1);
            ++k) {
         const std::size_t target = gossip_rng.index(n);
-        if (obs::BandwidthMeter::enabled()) {
-          const std::uint64_t bits =
-              digest_mode ? obs::kDeltaHeaderWireBits + obs::kPostWireBits
-                          : obs::kPostWireBits;
-          const obs::IoChannel channel = digest_mode
-                                             ? obs::IoChannel::kGossipDelta
-                                             : obs::IoChannel::kGossipExchange;
-          obs::BandwidthMeter::add_write_for(channel, bits, post.author);
-          obs::BandwidthMeter::add_read_for(channel, bits, PlayerId{target});
+        if (digest_mode) {
+          obs::meter_transfer(obs::IoChannel::kGossipDelta,
+                              obs::kDeltaHeaderWireBits + obs::kPostWireBits);
+        } else {
+          obs::meter_transfer(obs::IoChannel::kGossipExchange,
+                              obs::kPostWireBits);
         }
         if (digest_mode) {
           accept_seq(nodes[target], author, seq, idx);
@@ -538,8 +508,6 @@ RunResult GossipEngine::run(const World& world, const Population& population,
       for (PlayerId pid : roster.active()) {
         const std::size_t p = pid.value();
         Node& node = nodes[p];
-        // Replica ingest and window queries below are this node's reads.
-        const obs::BandwidthMeter::PlayerScope io_player(pid);
         node.protocol->on_round_begin(round, *node.replica);
         const auto choice =
             node.protocol->choose_probe(pid, round, streams.player(pid));

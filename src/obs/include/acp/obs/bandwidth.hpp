@@ -1,38 +1,28 @@
-// BandwidthMeter — per-player and aggregate bits-read/bits-written
-// accounting for the protocol's communication substrate.
+// Bits-read/bits-written accounting for the protocol's communication
+// substrate, kept as ordinary MetricsRegistry counters.
 //
 // The paper's cost model counts probes; King–Saia's follow-up ("Breaking
-// the O(n^2) Bit Barrier") makes *bits per processor* the resource that
-// matters. This meter makes that measurable: every billboard commit,
-// ledger ingest, window query and gossip delivery reports the wire size
-// of what moved, attributed to a channel and — when the caller says whose
-// traffic it is — to a player.
+// the O(n^2) Bit Barrier") makes *bits* the resource that matters. Every
+// billboard commit, ledger ingest, window query and gossip delivery
+// reports the wire size of what moved on a channel. Each channel is four
+// registry counters, io.<channel>.{read_ops,read_bits,write_ops,
+// write_bits} (e.g. io.billboard.commit.write_bits), so metering has the
+// registry's one switch: off, a site pays one relaxed load. Sites meter
+// once per batch or range, never per post.
 //
 // Wire model (documented in docs/observability.md): a Post serializes to
 // 161 bits (32 author + 32 round + 32 object + 64 value + 1 sign); a vote
 // event scanned from a window query is 96 bits (32 voter + 32 object +
 // 32 round). The absolute constants matter less than their consistency —
 // trade-offs between protocols are ratios of the same yardstick.
-//
-// Attribution is thread-local so concurrent trials and the parallel
-// kernel never contend: a RunScope installs a per-run sink (one slot per
-// player) on the constructing thread, SinkScope propagates that sink into
-// pool workers, and PlayerScope names the player whose traffic the
-// current thread is generating. The parallel evaluate phase touches
-// disjoint players per shard, so per-player slots are plain uint64s.
-// Channel aggregates are commutative relaxed atomics.
-//
-// Disabled (the default), every metering site pays exactly one relaxed
-// atomic load. `acpsim --profile` enables collection.
 #pragma once
 
-#include <array>
-#include <atomic>
+#include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
+#include <string>
+#include <string_view>
 
-#include "acp/util/types.hpp"
+#include "acp/obs/metrics.hpp"
 
 namespace acp::obs {
 
@@ -58,7 +48,7 @@ inline constexpr std::uint64_t kDigestEntryWireBits = 64;
 /// sequence number (the post count is implied by the payload length).
 inline constexpr std::uint64_t kDeltaHeaderWireBits = 64;
 
-/// Where the bits moved. Names are the report keys.
+/// Where the bits moved. Names are the <channel> part of the counters.
 enum class IoChannel : std::size_t {
   kBillboardCommit = 0,  ///< posts written to the authoritative board
   kLedgerIngest = 1,     ///< posts read into a vote ledger
@@ -74,194 +64,36 @@ enum class IoChannel : std::size_t {
 
 [[nodiscard]] const char* io_channel_name(IoChannel channel) noexcept;
 
-/// Lifetime totals for one channel.
-struct IoChannelSample {
-  std::uint64_t read_ops = 0;
-  std::uint64_t read_bits = 0;
-  std::uint64_t write_ops = 0;
-  std::uint64_t write_bits = 0;
-};
+/// "io.<channel>.<field>", field one of read_ops, read_bits, write_ops,
+/// write_bits.
+[[nodiscard]] std::string io_metric_name(IoChannel channel,
+                                         std::string_view field);
 
-/// Cross-player distribution of attributed traffic, folded once per
-/// RunScope: `players` counts slots with any attributed IO.
-struct PlayerIoSample {
-  std::uint64_t players = 0;
-  std::uint64_t read_bits_sum = 0;
-  std::uint64_t read_bits_max = 0;
-  std::uint64_t write_bits_sum = 0;
-  std::uint64_t write_bits_max = 0;
-};
+namespace detail {
+void add_io(IoChannel channel, bool is_write, std::uint64_t ops,
+            std::uint64_t bits);
+}  // namespace detail
 
-struct BandwidthSnapshot {
-  std::uint64_t bits_read = 0;
-  std::uint64_t bits_written = 0;
-  std::array<IoChannelSample, static_cast<std::size_t>(IoChannel::kCount)>
-      channels{};
-  PlayerIoSample per_player;
-};
+/// Adds `ops` reads moving `bits` in total to `channel` when the
+/// registry is on.
+inline void meter_read(IoChannel channel, std::uint64_t ops,
+                       std::uint64_t bits) {
+  if (MetricsRegistry::enabled()) detail::add_io(channel, false, ops, bits);
+}
 
-class BandwidthMeter {
- public:
-  BandwidthMeter() = default;
-  BandwidthMeter(const BandwidthMeter&) = delete;
-  BandwidthMeter& operator=(const BandwidthMeter&) = delete;
+/// Adds `ops` writes moving `bits` in total to `channel` when the
+/// registry is on.
+inline void meter_write(IoChannel channel, std::uint64_t ops,
+                        std::uint64_t bits) {
+  if (MetricsRegistry::enabled()) detail::add_io(channel, true, ops, bits);
+}
 
-  [[nodiscard]] static BandwidthMeter& global();
-
-  [[nodiscard]] static bool enabled() noexcept {
-    return enabled_.load(std::memory_order_relaxed);
-  }
-  static void set_enabled(bool on) noexcept {
-    enabled_.store(on, std::memory_order_relaxed);
-  }
-
-  /// Per-run, per-player attribution sink. Installed thread-locally by
-  /// RunScope; propagated into pool workers by SinkScope.
-  struct Sink {
-    explicit Sink(std::size_t num_players)
-        : read_bits(num_players, 0), write_bits(num_players, 0) {}
-    std::vector<std::uint64_t> read_bits;
-    std::vector<std::uint64_t> write_bits;
-  };
-
-  /// Meter a read/write of `bits` on `channel`, attributing to the
-  /// thread's current player (set by PlayerScope) when one is installed.
-  /// One relaxed load and an immediate return when disabled.
-  static void add_read(IoChannel channel, std::uint64_t bits) {
-    if (!enabled()) {
-      return;
-    }
-    global().do_add(channel, bits, /*is_write=*/false);
-  }
-  static void add_write(IoChannel channel, std::uint64_t bits) {
-    if (!enabled()) {
-      return;
-    }
-    global().do_add(channel, bits, /*is_write=*/true);
-  }
-  /// As above but attributing to an explicit player (e.g. a post's
-  /// author) instead of the thread's current player.
-  static void add_read_for(IoChannel channel, std::uint64_t bits,
-                           PlayerId player) {
-    if (!enabled()) {
-      return;
-    }
-    global().do_add_for(channel, bits, /*is_write=*/false, player);
-  }
-  static void add_write_for(IoChannel channel, std::uint64_t bits,
-                            PlayerId player) {
-    if (!enabled()) {
-      return;
-    }
-    global().do_add_for(channel, bits, /*is_write=*/true, player);
-  }
-
-  /// Installs a per-run sink on this thread for the scope's lifetime;
-  /// the destructor folds per-player totals into the global meter.
-  /// No-op (and no allocation) when metering is disabled at entry.
-  class RunScope {
-   public:
-    explicit RunScope(std::size_t num_players);
-    ~RunScope();
-    RunScope(const RunScope&) = delete;
-    RunScope& operator=(const RunScope&) = delete;
-
-    /// The sink to hand to SinkScope in worker tasks (null if disabled).
-    [[nodiscard]] Sink* sink() noexcept { return sink_; }
-
-   private:
-    Sink* sink_ = nullptr;
-    Sink* previous_ = nullptr;
-  };
-
-  /// The sink installed on the calling thread, if any. A schedule policy
-  /// grabs this before fanning out so worker tasks can attribute reads
-  /// to the same run via SinkScope.
-  [[nodiscard]] static Sink* current_sink() noexcept { return t_sink_; }
-
-  /// Makes `sink` (usually RunScope::sink() captured by a pool task)
-  /// the current thread's attribution sink. Null is fine: no-op.
-  /// Fully inline: these scopes sit on the kernel's per-task and
-  /// per-player paths, so the disabled/null fast path must not cost an
-  /// out-of-line call.
-  class SinkScope {
-   public:
-    explicit SinkScope(Sink* sink) noexcept {
-      if (sink != nullptr) {
-        previous_ = t_sink_;
-        t_sink_ = sink;
-        installed_ = true;
-      }
-    }
-    ~SinkScope() {
-      if (installed_) {
-        t_sink_ = previous_;
-      }
-    }
-    SinkScope(const SinkScope&) = delete;
-    SinkScope& operator=(const SinkScope&) = delete;
-
-   private:
-    Sink* previous_ = nullptr;
-    bool installed_ = false;
-  };
-
-  /// Names the player whose traffic this thread is currently generating.
-  /// Constructed once per player evaluate/apply in the round kernel:
-  /// when disabled the whole scope is one relaxed load and a branch.
-  class PlayerScope {
-   public:
-    explicit PlayerScope(PlayerId player) noexcept {
-      if (enabled()) {
-        previous_ = t_player_;
-        t_player_ = player;
-        installed_ = true;
-      }
-    }
-    ~PlayerScope() {
-      if (installed_) {
-        t_player_ = previous_;
-      }
-    }
-    PlayerScope(const PlayerScope&) = delete;
-    PlayerScope& operator=(const PlayerScope&) = delete;
-
-   private:
-    PlayerId previous_{};
-    bool installed_ = false;
-  };
-
-  [[nodiscard]] BandwidthSnapshot snapshot() const;
-  void reset();
-
- private:
-  struct ChannelCells {
-    std::atomic<std::uint64_t> read_ops{0};
-    std::atomic<std::uint64_t> read_bits{0};
-    std::atomic<std::uint64_t> write_ops{0};
-    std::atomic<std::uint64_t> write_bits{0};
-  };
-
-  void do_add(IoChannel channel, std::uint64_t bits, bool is_write);
-  void do_add_for(IoChannel channel, std::uint64_t bits, bool is_write,
-                  PlayerId player);
-  void fold_sink(const Sink& sink);
-
-  static std::atomic<bool> enabled_;
-
-  // Thread-local attribution state. Plain pointers/values: scopes
-  // restore the previous value on destruction, so nesting (a gossip run
-  // inside a trial, a worker task inside a run) composes. Inline so the
-  // scope classes above stay header-only.
-  static inline thread_local Sink* t_sink_ = nullptr;
-  static inline thread_local PlayerId t_player_{};  // default = invalid
-
-  std::array<ChannelCells, static_cast<std::size_t>(IoChannel::kCount)>
-      channels_{};
-
-  // Per-player distribution, folded one RunScope at a time.
-  mutable std::mutex player_mutex_;
-  PlayerIoSample per_player_;
-};
+/// One message of `bits` over one link: a write at the sender and a read
+/// at the receiver.
+inline void meter_transfer(IoChannel channel, std::uint64_t bits) {
+  if (!MetricsRegistry::enabled()) return;
+  detail::add_io(channel, true, 1, bits);
+  detail::add_io(channel, false, 1, bits);
+}
 
 }  // namespace acp::obs

@@ -1,17 +1,39 @@
 #include "acp/obs/bandwidth.hpp"
 
-#include <algorithm>
+#include <array>
 
 namespace acp::obs {
 namespace {
 
-[[nodiscard]] bool valid_player(PlayerId player) noexcept {
-  return player != PlayerId{};
+constexpr std::size_t kChannels = static_cast<std::size_t>(IoChannel::kCount);
+
+struct IoCounters {
+  Counter* read_ops;
+  Counter* read_bits;
+  Counter* write_ops;
+  Counter* write_bits;
+};
+
+/// Every channel's counters, registered together on first use, so a
+/// metered run's snapshot lists all channels (zeros included).
+const std::array<IoCounters, kChannels>& io_table() {
+  static const std::array<IoCounters, kChannels> table = [] {
+    MetricsRegistry& registry = MetricsRegistry::global();
+    std::array<IoCounters, kChannels> out{};
+    for (std::size_t c = 0; c < kChannels; ++c) {
+      const auto channel = static_cast<IoChannel>(c);
+      out[c] = IoCounters{
+          &registry.counter(io_metric_name(channel, "read_ops")),
+          &registry.counter(io_metric_name(channel, "read_bits")),
+          &registry.counter(io_metric_name(channel, "write_ops")),
+          &registry.counter(io_metric_name(channel, "write_bits"))};
+    }
+    return out;
+  }();
+  return table;
 }
 
 }  // namespace
-
-std::atomic<bool> BandwidthMeter::enabled_{false};
 
 const char* io_channel_name(IoChannel channel) noexcept {
   switch (channel) {
@@ -39,104 +61,19 @@ const char* io_channel_name(IoChannel channel) noexcept {
   return "unknown";
 }
 
-BandwidthMeter& BandwidthMeter::global() {
-  static BandwidthMeter instance;
-  return instance;
+std::string io_metric_name(IoChannel channel, std::string_view field) {
+  std::string name = "io.";
+  name += io_channel_name(channel);
+  name += '.';
+  name += field;
+  return name;
 }
 
-void BandwidthMeter::do_add(IoChannel channel, std::uint64_t bits,
-                            bool is_write) {
-  do_add_for(channel, bits, is_write, t_player_);
-}
-
-void BandwidthMeter::do_add_for(IoChannel channel, std::uint64_t bits,
-                                bool is_write, PlayerId player) {
-  ChannelCells& cells = channels_[static_cast<std::size_t>(channel)];
-  if (is_write) {
-    cells.write_ops.fetch_add(1, std::memory_order_relaxed);
-    cells.write_bits.fetch_add(bits, std::memory_order_relaxed);
-  } else {
-    cells.read_ops.fetch_add(1, std::memory_order_relaxed);
-    cells.read_bits.fetch_add(bits, std::memory_order_relaxed);
-  }
-  if (Sink* sink = t_sink_; sink != nullptr && valid_player(player)) {
-    const std::size_t slot = player.value();
-    if (slot < sink->read_bits.size()) {
-      (is_write ? sink->write_bits : sink->read_bits)[slot] += bits;
-    }
-  }
-}
-
-void BandwidthMeter::fold_sink(const Sink& sink) {
-  PlayerIoSample delta;
-  for (std::size_t i = 0; i < sink.read_bits.size(); ++i) {
-    const std::uint64_t r = sink.read_bits[i];
-    const std::uint64_t w = sink.write_bits[i];
-    if (r == 0 && w == 0) {
-      continue;
-    }
-    delta.players += 1;
-    delta.read_bits_sum += r;
-    delta.read_bits_max = std::max(delta.read_bits_max, r);
-    delta.write_bits_sum += w;
-    delta.write_bits_max = std::max(delta.write_bits_max, w);
-  }
-  if (delta.players == 0) {
-    return;
-  }
-  std::lock_guard<std::mutex> lock(player_mutex_);
-  per_player_.players += delta.players;
-  per_player_.read_bits_sum += delta.read_bits_sum;
-  per_player_.read_bits_max =
-      std::max(per_player_.read_bits_max, delta.read_bits_max);
-  per_player_.write_bits_sum += delta.write_bits_sum;
-  per_player_.write_bits_max =
-      std::max(per_player_.write_bits_max, delta.write_bits_max);
-}
-
-BandwidthMeter::RunScope::RunScope(std::size_t num_players) {
-  if (!enabled()) {
-    return;
-  }
-  sink_ = new Sink(num_players);
-  previous_ = t_sink_;
-  t_sink_ = sink_;
-}
-
-BandwidthMeter::RunScope::~RunScope() {
-  if (sink_ == nullptr) {
-    return;
-  }
-  t_sink_ = previous_;
-  global().fold_sink(*sink_);
-  delete sink_;
-}
-
-BandwidthSnapshot BandwidthMeter::snapshot() const {
-  BandwidthSnapshot out;
-  for (std::size_t c = 0; c < channels_.size(); ++c) {
-    IoChannelSample& sample = out.channels[c];
-    sample.read_ops = channels_[c].read_ops.load(std::memory_order_relaxed);
-    sample.read_bits = channels_[c].read_bits.load(std::memory_order_relaxed);
-    sample.write_ops = channels_[c].write_ops.load(std::memory_order_relaxed);
-    sample.write_bits = channels_[c].write_bits.load(std::memory_order_relaxed);
-    out.bits_read += sample.read_bits;
-    out.bits_written += sample.write_bits;
-  }
-  std::lock_guard<std::mutex> lock(player_mutex_);
-  out.per_player = per_player_;
-  return out;
-}
-
-void BandwidthMeter::reset() {
-  for (ChannelCells& cells : channels_) {
-    cells.read_ops.store(0, std::memory_order_relaxed);
-    cells.read_bits.store(0, std::memory_order_relaxed);
-    cells.write_ops.store(0, std::memory_order_relaxed);
-    cells.write_bits.store(0, std::memory_order_relaxed);
-  }
-  std::lock_guard<std::mutex> lock(player_mutex_);
-  per_player_ = PlayerIoSample{};
+void detail::add_io(IoChannel channel, bool is_write, std::uint64_t ops,
+                    std::uint64_t bits) {
+  const IoCounters& cells = io_table()[static_cast<std::size_t>(channel)];
+  (is_write ? cells.write_ops : cells.read_ops)->add(ops);
+  (is_write ? cells.write_bits : cells.read_bits)->add(bits);
 }
 
 }  // namespace acp::obs

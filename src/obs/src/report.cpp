@@ -30,10 +30,6 @@ void RunReport::set_metrics_snapshot(MetricsSnapshot snapshot) {
   snapshot_ = std::move(snapshot);
 }
 
-void RunReport::set_bandwidth(BandwidthSnapshot bandwidth) {
-  bandwidth_ = bandwidth;
-}
-
 void RunReport::write_json(std::ostream& os) const {
   JsonWriter json(os);
   json.begin_object();
@@ -94,37 +90,6 @@ void RunReport::write_json(std::ostream& os) const {
     json.end_array();
     json.member("underflow", histogram.underflow)
         .member("overflow", histogram.overflow);
-    json.end_object();
-  }
-  json.end_object();
-
-  json.key("bandwidth").begin_object();
-  if (bandwidth_.has_value()) {
-    const BandwidthSnapshot& b = *bandwidth_;
-    json.member("engine.io.bits_read", b.bits_read)
-        .member("engine.io.bits_written", b.bits_written);
-    json.key("channels").begin_object();
-    for (std::size_t c = 0; c < b.channels.size(); ++c) {
-      const IoChannelSample& channel = b.channels[c];
-      json.key(io_channel_name(static_cast<IoChannel>(c))).begin_object();
-      json.member("read_ops", channel.read_ops)
-          .member("read_bits", channel.read_bits)
-          .member("write_ops", channel.write_ops)
-          .member("write_bits", channel.write_bits);
-      json.end_object();
-    }
-    json.end_object();
-    json.key("per_player").begin_object();
-    const double players = b.per_player.players > 0
-                               ? static_cast<double>(b.per_player.players)
-                               : 1.0;
-    json.member("players", b.per_player.players)
-        .member("read_bits_mean",
-                static_cast<double>(b.per_player.read_bits_sum) / players)
-        .member("read_bits_max", b.per_player.read_bits_max)
-        .member("write_bits_mean",
-                static_cast<double>(b.per_player.write_bits_sum) / players)
-        .member("write_bits_max", b.per_player.write_bits_max);
     json.end_object();
   }
   json.end_object();

@@ -31,10 +31,9 @@ struct CliConfig {
   bool help = false;
 
   /// Profile the run: enables the metrics registry (which times the
-  /// kernel's seams) and the BandwidthMeter. The registry snapshot and the
-  /// bandwidth totals land in the report (with --report-json), and a
-  /// summary is printed after the result table. Not available with
-  /// --sweep.
+  /// kernel's seams and counts the io.* channel bits) and prints a summary
+  /// after the result table. With --report-json the snapshot also lands
+  /// in the report. Not available with --sweep.
   bool profile = false;
 
   /// Write a per-round trace CSV of the FIRST trial to this path
@@ -45,9 +44,9 @@ struct CliConfig {
   /// this path (engines sync and lockstep). Empty = no trace.
   std::string trace_jsonl_path;
 
-  /// Write a machine-readable JSON run report ("acp.report.v3") — config
-  /// echo, per-metric summaries, metrics-registry counters and timer
-  /// totals — to this path. Enables metrics collection for the run.
+  /// Write a machine-readable JSON run report ("acp.report.v4") — config
+  /// echo, per-metric summaries, metrics-registry counters (io.* bits
+  /// included) and timer totals — to this path. Enables metrics collection for the run.
   /// Empty = no report. Not available with --sweep.
   std::string report_json_path;
 

@@ -102,18 +102,17 @@ execution:
                    (engines sync, lockstep and gossip)
   --trace-jsonl FILE   write a per-round JSONL trace (acp.trace.v1) of the
                        first trial (engines sync, lockstep and gossip)
-  --report-json FILE   write a machine-readable run report (acp.report.v3):
-                       config echo, metric summaries, the metrics
-                       registry snapshot (counters, timers including the
-                       kernel's engine.kernel.* seams, histograms) and —
-                       with --profile — bandwidth totals (not available
-                       with --sweep)
-  --profile        enable the metrics registry and bandwidth metering;
-                   prints where the kernel thread's slice time went
-                   (adversary, players, commit, accounting, leftover),
-                   the parallel kernel's lane work, and bits moved, and
-                   fills the report's bandwidth section (not available
-                   with --sweep)
+  --report-json FILE   write a machine-readable run report (acp.report.v4):
+                       config echo, metric summaries and the metrics
+                       registry snapshot (counters including the io.*
+                       bits per channel, timers including the kernel's
+                       engine.kernel.* seams, histograms); turns the
+                       registry on (not available with --sweep)
+  --profile        turn the metrics registry on and print where the
+                   kernel thread's slice time went (adversary, players,
+                   commit, accounting, leftover), the parallel kernel's
+                   lane work, and the bits moved per io.* channel (not
+                   available with --sweep)
   --help           this text
 )";
 }
@@ -418,15 +417,21 @@ const std::vector<SliceParts>& slice_parts() {
 /// Human-readable digest of a --profile run, read from the registry
 /// snapshot: the slice timer's parts on the kernel thread (with the
 /// leftover, so the shares sum to 100%), the parallel kernel's lane-summed
-/// work, the trial pool, and the bits moved. The report JSON has the rest.
+/// work, the trial pool, and the bits moved per io.* channel. The report
+/// JSON has the rest.
 void print_profile_summary(const obs::MetricsSnapshot& metrics,
-                           const obs::BandwidthSnapshot& bandwidth,
                            std::size_t lanes, std::ostream& out) {
   const auto timer = [&metrics](std::string_view name) {
     for (const obs::TimerSample& sample : metrics.timers) {
       if (sample.name == name) return sample;
     }
     return obs::TimerSample{std::string(name), 0, 0};
+  };
+  const auto counter = [&metrics](const std::string& name) {
+    for (const obs::CounterSample& sample : metrics.counters) {
+      if (sample.name == name) return sample.value;
+    }
+    return std::uint64_t{0};
   };
   const auto label = [&out](std::string_view name) -> std::ostream& {
     return out << "  " << std::left << std::setw(26) << name << ' '
@@ -475,15 +480,20 @@ void print_profile_summary(const obs::MetricsSnapshot& metrics,
         << pool.total_ns << " ns submit->start\n";
   }
 
-  out << "profile: bandwidth engine.io.bits_read=" << bandwidth.bits_read
-      << " engine.io.bits_written=" << bandwidth.bits_written << "\n";
-  for (std::size_t c = 0; c < bandwidth.channels.size(); ++c) {
-    const obs::IoChannelSample& channel = bandwidth.channels[c];
-    if (channel.read_ops == 0 && channel.write_ops == 0) continue;
-    out << "  " << obs::io_channel_name(static_cast<obs::IoChannel>(c))
-        << ": read " << channel.read_bits << " bits (" << channel.read_ops
-        << " ops), wrote " << channel.write_bits << " bits ("
-        << channel.write_ops << " ops)\n";
+  out << "profile: io bits per channel\n";
+  for (std::size_t c = 0; c < static_cast<std::size_t>(obs::IoChannel::kCount);
+       ++c) {
+    const auto channel = static_cast<obs::IoChannel>(c);
+    const std::uint64_t read_ops =
+        counter(obs::io_metric_name(channel, "read_ops"));
+    const std::uint64_t write_ops =
+        counter(obs::io_metric_name(channel, "write_ops"));
+    if (read_ops == 0 && write_ops == 0) continue;
+    out << "  " << obs::io_channel_name(channel) << ": read "
+        << counter(obs::io_metric_name(channel, "read_bits")) << " bits ("
+        << read_ops << " ops), wrote "
+        << counter(obs::io_metric_name(channel, "write_bits")) << " bits ("
+        << write_ops << " ops)\n";
   }
 }
 
@@ -543,25 +553,15 @@ int run(const CliConfig& config, std::ostream& out) {
   }
 
   // --report-json and --profile turn on the metrics registry (engine
-  // counters, hot-path timers, the kernel's seams); --profile also turns
-  // on the bandwidth meter.
+  // counters, io.* bits, hot-path timers, the kernel's seams).
   const bool want_report = !config.report_json_path.empty();
   const bool want_metrics = want_report || config.profile;
   if (want_metrics) {
     obs::MetricsRegistry::global().reset();
     obs::MetricsRegistry::set_enabled(true);
   }
-  if (config.profile) {
-    obs::BandwidthMeter::global().reset();
-    obs::BandwidthMeter::set_enabled(true);
-  }
   const auto summaries = measure_point(config);
   obs::MetricsSnapshot metrics;
-  obs::BandwidthSnapshot bandwidth;
-  if (config.profile) {
-    obs::BandwidthMeter::set_enabled(false);
-    bandwidth = obs::BandwidthMeter::global().snapshot();
-  }
   if (want_metrics) {
     obs::MetricsRegistry::set_enabled(false);
     metrics = obs::MetricsRegistry::global().snapshot();
@@ -619,7 +619,6 @@ int run(const CliConfig& config, std::ostream& out) {
     report.add_metric("success_fraction", summaries[sim::kSuccessFraction]);
     report.add_metric("run_completed", summaries[sim::kCompleted]);
     report.set_metrics_snapshot(metrics);
-    if (config.profile) report.set_bandwidth(bandwidth);
     std::ofstream file(config.report_json_path);
     if (!file) {
       throw std::invalid_argument("--report-json: cannot open " +
@@ -645,8 +644,8 @@ int run(const CliConfig& config, std::ostream& out) {
         << " trials=" << spec.trials << "\n\n";
     table.print(out);
     if (config.profile) {
-      print_profile_summary(metrics, bandwidth,
-                            ThreadPool::resolve(spec.engine_threads), out);
+      print_profile_summary(metrics, ThreadPool::resolve(spec.engine_threads),
+                            out);
     }
   }
   // Signal failure if any trial failed to satisfy all honest players.

@@ -442,10 +442,11 @@ TEST(CliRun, ProfileFillsReportSectionsAndPrintsSummary) {
   ASSERT_TRUE(report.good());
   std::string report_text((std::istreambuf_iterator<char>(report)),
                           std::istreambuf_iterator<char>());
-  // v3: the kernel's seams are ordinary registry timers and histograms,
-  // and the bandwidth section is populated, not the {} placeholder.
-  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v3\"", 0), 0u);
+  // v4: the kernel's seams are ordinary registry timers and histograms,
+  // and the bits moved are io.* counters, not a bandwidth section.
+  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v4\"", 0), 0u);
   EXPECT_EQ(report_text.find("\"phases\""), std::string::npos);
+  EXPECT_EQ(report_text.find("\"bandwidth\""), std::string::npos);
   for (const char* name :
        {"\"engine.kernel.adversary\"", "\"engine.kernel.players\"",
         "\"engine.kernel.commit\"", "\"engine.kernel.accounting\"",
@@ -453,7 +454,9 @@ TEST(CliRun, ProfileFillsReportSectionsAndPrintsSummary) {
         "\"engine.kernel.merge\"", "\"engine.kernel.imbalance\""}) {
     EXPECT_NE(report_text.find(name), std::string::npos) << name;
   }
-  EXPECT_NE(report_text.find("\"bandwidth\":{\"engine.io.bits_read\""),
+  EXPECT_NE(report_text.find("\"io.billboard.commit.write_bits\":"),
+            std::string::npos);
+  EXPECT_EQ(report_text.find("\"io.billboard.commit.write_bits\":0,"),
             std::string::npos);
   EXPECT_NE(report_text.find("\"engine_threads\":2"), std::string::npos);
 
@@ -473,7 +476,8 @@ TEST(CliRun, ProfileFillsReportSectionsAndPrintsSummary) {
   }
   EXPECT_NEAR(share_sum, 100.0, 0.3);
   EXPECT_NE(text.find("profile: parallel kernel, 2 lanes"), std::string::npos);
-  EXPECT_NE(text.find("profile: bandwidth"), std::string::npos);
+  EXPECT_NE(text.find("profile: io bits per channel\n  billboard.commit: "),
+            std::string::npos);
 
   std::remove(report_path.c_str());
 }
@@ -496,8 +500,11 @@ TEST(CliRun, ReportJsonAndTraceJsonlWritten) {
   ASSERT_TRUE(report.good());
   std::string report_text((std::istreambuf_iterator<char>(report)),
                           std::istreambuf_iterator<char>());
-  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v3\"", 0), 0u);
+  EXPECT_EQ(report_text.rfind("{\"schema\":\"acp.report.v4\"", 0), 0u);
   EXPECT_NE(report_text.find("\"probes_per_player\""), std::string::npos);
+  // The registry switch meters IO too: no --profile needed.
+  EXPECT_NE(report_text.find("\"io.ledger.ingest.read_bits\":"),
+            std::string::npos);
   EXPECT_NE(report_text.find("\"engine.sync.rounds\""), std::string::npos);
   EXPECT_NE(report_text.find("\"timers\""), std::string::npos);
 

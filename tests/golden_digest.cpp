@@ -212,20 +212,21 @@ std::uint64_t case_digest(const GoldenCase& golden) {
         break;
       }
       case Pin::kBits: {
-        obs::BandwidthMeter& meter = obs::BandwidthMeter::global();
-        const bool was_enabled = obs::BandwidthMeter::enabled();
-        meter.reset();
-        obs::BandwidthMeter::set_enabled(true);
+        obs::MetricsRegistry& registry = obs::MetricsRegistry::global();
+        const bool was_enabled = obs::MetricsRegistry::enabled();
+        registry.reset();
+        obs::MetricsRegistry::set_enabled(true);
         static_cast<void>(scenario::run_scenario_trial(spec, seed));
-        const obs::BandwidthSnapshot io = meter.snapshot();
-        obs::BandwidthMeter::set_enabled(was_enabled);
+        obs::MetricsRegistry::set_enabled(was_enabled);
         for (const obs::IoChannel channel :
              {obs::IoChannel::kGossipDigest, obs::IoChannel::kGossipDelta,
               obs::IoChannel::kLedgerIngest}) {
-          const obs::IoChannelSample& sample =
-              io.channels[static_cast<std::size_t>(channel)];
-          hasher.add(sample.read_bits);
-          hasher.add(sample.write_bits);
+          hasher.add(
+              registry.counter(obs::io_metric_name(channel, "read_bits"))
+                  .value());
+          hasher.add(
+              registry.counter(obs::io_metric_name(channel, "write_bits"))
+                  .value());
         }
         break;
       }

@@ -17,7 +17,7 @@
 // cannot see: "<case>_replicas" hashes every honest node's final replica
 // (GossipConfig::on_final_replica, ascending node id, every Post field),
 // and "<case>_bits" hashes the run's gossip.digest, gossip.delta and
-// ledger.ingest bit totals with the BandwidthMeter on.
+// ledger.ingest read and write bits (io.* registry counters).
 //
 // Regenerate the table after an intended change with
 //   build/tests/golden_digests > tests/golden_digests.txt

@@ -11,6 +11,7 @@
 #include "acp/baseline/collab_baseline.hpp"
 #include "acp/engine/lockstep.hpp"
 #include "acp/engine/trace.hpp"
+#include "acp/obs/bandwidth.hpp"
 #include "acp/obs/json.hpp"
 #include "acp/obs/jsonl_trace.hpp"
 #include "acp/obs/metrics.hpp"
@@ -371,7 +372,7 @@ TEST(RunReport, GoldenJson) {
   report.write_json(os);
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"acp.report.v3\","
+      "{\"schema\":\"acp.report.v4\","
       "\"config\":{\"n\":2,\"protocol\":\"distill\",\"alpha\":0.5,"
       "\"gossip\":false},"
       "\"metrics\":{\"rounds\":{\"count\":2,\"mean\":2,\"stddev\":0,"
@@ -380,17 +381,22 @@ TEST(RunReport, GoldenJson) {
       "\"counters\":{\"a\":3},"
       "\"gauges\":{},"
       "\"timers\":{\"t\":{\"count\":1,\"total_ns\":5}},"
-      "\"histograms\":{},"
-      "\"bandwidth\":{}}\n");
+      "\"histograms\":{}}\n");
 }
 
 TEST(RunReport, GoldenJsonWithProfileSections) {
   obs::RunReport report;
   report.set_config("n", std::uint64_t{2});
 
-  // The kernel's seams are ordinary registry entries: a timer and the
-  // imbalance histogram render straight from the snapshot.
+  // The kernel's seams and the io.* channel bits are ordinary registry
+  // entries: counters, a timer and the imbalance histogram render
+  // straight from the snapshot.
   obs::MetricsSnapshot snapshot;
+  snapshot.counters.push_back(
+      obs::CounterSample{"io.billboard.commit.write_bits",
+                         2 * obs::kPostWireBits});
+  snapshot.counters.push_back(
+      obs::CounterSample{"io.billboard.commit.write_ops", 2});
   snapshot.timers.push_back(obs::TimerSample{"engine.kernel.work", 8, 30});
   obs::HistogramSample imbalance;
   imbalance.name = "engine.kernel.imbalance";
@@ -400,51 +406,19 @@ TEST(RunReport, GoldenJsonWithProfileSections) {
   snapshot.histograms.push_back(imbalance);
   report.set_metrics_snapshot(std::move(snapshot));
 
-  obs::BandwidthSnapshot bandwidth;
-  auto& commit = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kBillboardCommit)];
-  commit.write_ops = 2;
-  commit.write_bits = 2 * obs::kPostWireBits;
-  bandwidth.bits_written = commit.write_bits;
-  bandwidth.per_player.players = 2;
-  bandwidth.per_player.write_bits_sum = 2 * obs::kPostWireBits;
-  bandwidth.per_player.write_bits_max = obs::kPostWireBits;
-  report.set_bandwidth(bandwidth);
-
   std::ostringstream os;
   report.write_json(os);
   EXPECT_EQ(
       os.str(),
-      "{\"schema\":\"acp.report.v3\","
+      "{\"schema\":\"acp.report.v4\","
       "\"config\":{\"n\":2},"
-      "\"metrics\":{},\"counters\":{},\"gauges\":{},"
+      "\"metrics\":{},"
+      "\"counters\":{\"io.billboard.commit.write_bits\":322,"
+      "\"io.billboard.commit.write_ops\":2},"
+      "\"gauges\":{},"
       "\"timers\":{\"engine.kernel.work\":{\"count\":8,\"total_ns\":30}},"
       "\"histograms\":{\"engine.kernel.imbalance\":{\"lo\":1,\"hi\":3,"
-      "\"buckets\":[0,1],\"underflow\":0,\"overflow\":0}},"
-      "\"bandwidth\":{"
-      "\"engine.io.bits_read\":0,\"engine.io.bits_written\":322,"
-      "\"channels\":{"
-      "\"billboard.commit\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":2,\"write_bits\":322},"
-      "\"ledger.ingest\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"ledger.window_query\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"gossip.exchange\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"gossip.digest\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"gossip.delta\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"billboard.rpc.post\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"billboard.rpc.query\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0},"
-      "\"billboard.rpc.snapshot\":{\"read_ops\":0,\"read_bits\":0,"
-      "\"write_ops\":0,\"write_bits\":0}},"
-      "\"per_player\":{\"players\":2,\"read_bits_mean\":0,"
-      "\"read_bits_max\":0,\"write_bits_mean\":161,"
-      "\"write_bits_max\":161}}}\n");
+      "\"buckets\":[0,1],\"underflow\":0,\"overflow\":0}}}\n");
 }
 
 // --------------------------------------------- TraceRecorder edge cases

@@ -1,5 +1,5 @@
 // Profiling through the one metrics surface: the kernel's seam timers,
-// the thread pool's wake/queue metrics and BandwidthMeter attribution,
+// the thread pool's wake/queue metrics and the io.* channel counters,
 // and their contract with the kernel — profiling ON must never change a
 // RunResult (bit-identity with the unprofiled run at engine_threads 1, 2
 // and 8), and profiling OFF must collect nothing. Also pins the
@@ -9,6 +9,7 @@
 // ThreadPoolMetrics, Runner) run under the TSan CI job.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -26,22 +27,17 @@
 namespace acp::test {
 namespace {
 
-/// Arms the registry + meter for one test (what `acpsim --profile` does)
-/// and guarantees both are disabled and wiped afterwards, whatever the
-/// test does.
+/// Arms the registry for one test (what `acpsim --profile` does) and
+/// guarantees it is disabled and wiped afterwards, whatever the test does.
 class ProfilingScope {
  public:
   ProfilingScope() {
     obs::MetricsRegistry::global().reset();
     obs::MetricsRegistry::set_enabled(true);
-    obs::BandwidthMeter::global().reset();
-    obs::BandwidthMeter::set_enabled(true);
   }
   ~ProfilingScope() {
     obs::MetricsRegistry::set_enabled(false);
     obs::MetricsRegistry::global().reset();
-    obs::BandwidthMeter::set_enabled(false);
-    obs::BandwidthMeter::global().reset();
   }
   ProfilingScope(const ProfilingScope&) = delete;
   ProfilingScope& operator=(const ProfilingScope&) = delete;
@@ -49,6 +45,13 @@ class ProfilingScope {
 
 obs::TimerStat& timer(const char* name) {
   return obs::MetricsRegistry::global().timer(name);
+}
+
+/// One io.<channel>.<field> counter's value.
+std::uint64_t io(obs::IoChannel channel, const char* field) {
+  return obs::MetricsRegistry::global()
+      .counter(obs::io_metric_name(channel, field))
+      .value();
 }
 
 std::uint64_t histogram_total(const char* name) {
@@ -88,55 +91,52 @@ TEST(ThreadPoolMetrics, WakeAndQueueDepthRecordedOnlyWhenEnabled) {
   EXPECT_EQ(histogram_total("concurrency.pool.queue_depth"), kTasks);
 }
 
-// --------------------------------------------------------- BandwidthMeter
+// ----------------------------------------------------- io.* channel counters
 
-TEST(BandwidthMeterUnit, ChannelsAndPerPlayerAttribution) {
+TEST(IoCounters, ChannelsAreRegistryCounters) {
   ProfilingScope scope;
-  {
-    obs::BandwidthMeter::RunScope run(4);
-    ASSERT_NE(run.sink(), nullptr);
-    {
-      const obs::BandwidthMeter::PlayerScope player(PlayerId{1});
-      obs::BandwidthMeter::add_read(obs::IoChannel::kLedgerIngest, 100);
-    }
-    obs::BandwidthMeter::add_write_for(obs::IoChannel::kBillboardCommit,
-                                       obs::kPostWireBits, PlayerId{2});
-    // No player scope and no explicit player: aggregates only.
-    obs::BandwidthMeter::add_read(obs::IoChannel::kWindowQuery, 50);
-  }  // RunScope folds per-player totals here
+  obs::meter_read(obs::IoChannel::kLedgerIngest, 1, 100);
+  obs::meter_write(obs::IoChannel::kBillboardCommit, 2,
+                   2 * obs::kPostWireBits);
+  obs::meter_read(obs::IoChannel::kWindowQuery, 1, 50);
+  obs::meter_transfer(obs::IoChannel::kGossipDelta, 64);
 
-  const obs::BandwidthSnapshot snapshot =
-      obs::BandwidthMeter::global().snapshot();
-  EXPECT_EQ(snapshot.bits_read, 150u);
-  EXPECT_EQ(snapshot.bits_written, obs::kPostWireBits);
-  const auto& ingest = snapshot.channels[static_cast<std::size_t>(
-      obs::IoChannel::kLedgerIngest)];
-  EXPECT_EQ(ingest.read_ops, 1u);
-  EXPECT_EQ(ingest.read_bits, 100u);
-  const auto& commit = snapshot.channels[static_cast<std::size_t>(
-      obs::IoChannel::kBillboardCommit)];
-  EXPECT_EQ(commit.write_ops, 1u);
-  EXPECT_EQ(commit.write_bits, obs::kPostWireBits);
-  // Players 1 and 2 had attributed traffic; the scopeless read did not.
-  EXPECT_EQ(snapshot.per_player.players, 2u);
-  EXPECT_EQ(snapshot.per_player.read_bits_sum, 100u);
-  EXPECT_EQ(snapshot.per_player.read_bits_max, 100u);
-  EXPECT_EQ(snapshot.per_player.write_bits_sum, obs::kPostWireBits);
+  EXPECT_EQ(io(obs::IoChannel::kLedgerIngest, "read_ops"), 1u);
+  EXPECT_EQ(io(obs::IoChannel::kLedgerIngest, "read_bits"), 100u);
+  EXPECT_EQ(io(obs::IoChannel::kLedgerIngest, "write_ops"), 0u);
+  EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "write_ops"), 2u);
+  EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "write_bits"),
+            2 * obs::kPostWireBits);
+  EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "read_bits"), 0u);
+  EXPECT_EQ(io(obs::IoChannel::kWindowQuery, "read_bits"), 50u);
+  // A transfer is one write at the sender and one read at the receiver.
+  for (const char* field : {"read_ops", "write_ops"}) {
+    EXPECT_EQ(io(obs::IoChannel::kGossipDelta, field), 1u) << field;
+  }
+  EXPECT_EQ(io(obs::IoChannel::kGossipDelta, "read_bits"), 64u);
+  EXPECT_EQ(io(obs::IoChannel::kGossipDelta, "write_bits"), 64u);
+
+  // Every channel's four counters are in the snapshot under its name.
+  std::size_t io_counters = 0;
+  for (const obs::CounterSample& sample :
+       obs::MetricsRegistry::global().snapshot().counters) {
+    if (sample.name.rfind("io.", 0) == 0) ++io_counters;
+  }
+  EXPECT_EQ(io_counters, 4 * static_cast<std::size_t>(obs::IoChannel::kCount));
+  EXPECT_EQ(obs::io_metric_name(obs::IoChannel::kBillboardCommit, "write_bits"),
+            "io.billboard.commit.write_bits");
 }
 
-TEST(BandwidthMeterUnit, DisabledMeterCollectsNothing) {
-  obs::BandwidthMeter::global().reset();
-  ASSERT_FALSE(obs::BandwidthMeter::enabled());
-  obs::BandwidthMeter::RunScope run(4);
-  EXPECT_EQ(run.sink(), nullptr);  // disabled: no allocation either
-  obs::BandwidthMeter::add_read(obs::IoChannel::kLedgerIngest, 100);
-  obs::BandwidthMeter::add_write_for(obs::IoChannel::kBillboardCommit, 161,
-                                     PlayerId{0});
-  const obs::BandwidthSnapshot snapshot =
-      obs::BandwidthMeter::global().snapshot();
-  EXPECT_EQ(snapshot.bits_read, 0u);
-  EXPECT_EQ(snapshot.bits_written, 0u);
-  EXPECT_EQ(snapshot.per_player.players, 0u);
+TEST(IoCounters, DisabledRegistryMetersNothing) {
+  obs::MetricsRegistry::global().reset();
+  ASSERT_FALSE(obs::MetricsRegistry::enabled());
+  obs::meter_read(obs::IoChannel::kLedgerIngest, 1, 100);
+  obs::meter_write(obs::IoChannel::kBillboardCommit, 1, 161);
+  obs::meter_transfer(obs::IoChannel::kGossipDigest, 128);
+  for (const obs::CounterSample& sample :
+       obs::MetricsRegistry::global().snapshot().counters) {
+    EXPECT_EQ(sample.value, 0u) << sample.name;
+  }
 }
 
 // ----------------------------------------- profiled runs stay deterministic
@@ -232,23 +232,43 @@ TEST(ParallelKernelProfile, DisabledRegistryTimesNothing) {
 }
 
 TEST(ParallelKernelProfile, SyncRunMetersBillboardAndLedgerTraffic) {
-  ProfilingScope scope;
-  const RunResult result = scenario::run_scenario_trial(small_spec(2), 41);
-  EXPECT_GT(result.total_posts, 0u);
-  const obs::BandwidthSnapshot bandwidth =
-      obs::BandwidthMeter::global().snapshot();
-  const auto& commit = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kBillboardCommit)];
-  const auto& ingest = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kLedgerIngest)];
-  // Every committed post was written once at kPostWireBits...
-  EXPECT_EQ(commit.write_bits, result.total_posts * obs::kPostWireBits);
-  // ...and the shared DISTILL ledger read each post back at most once
-  // (posts committed in the final round are never ingested).
-  EXPECT_GT(ingest.read_bits, 0u);
-  EXPECT_LE(ingest.read_bits, commit.write_bits);
-  EXPECT_GT(bandwidth.per_player.players, 0u);
-  EXPECT_GT(bandwidth.per_player.write_bits_max, 0u);
+  std::vector<obs::CounterSample> first;
+  for (const std::size_t threads : {1u, 2u, 8u}) {
+    SCOPED_TRACE("engine_threads " + std::to_string(threads));
+    ProfilingScope scope;
+    const RunResult result =
+        scenario::run_scenario_trial(small_spec(threads), 41);
+    ASSERT_GT(result.total_posts, 0u);
+    // Every committed post was written once at kPostWireBits, metered
+    // once per commit batch...
+    EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "write_ops"),
+              result.total_posts);
+    EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "write_bits"),
+              result.total_posts * obs::kPostWireBits);
+    // ...and the shared DISTILL ledger read each post back at most once
+    // (posts committed in the final round are never ingested).
+    const std::uint64_t ingest_bits =
+        io(obs::IoChannel::kLedgerIngest, "read_bits");
+    EXPECT_GT(ingest_bits, 0u);
+    EXPECT_LE(ingest_bits, result.total_posts * obs::kPostWireBits);
+
+    // The kernel's lanes change none of the io.* values.
+    std::vector<obs::CounterSample> io_values;
+    for (const obs::CounterSample& sample :
+         obs::MetricsRegistry::global().snapshot().counters) {
+      if (sample.name.rfind("io.", 0) == 0) io_values.push_back(sample);
+    }
+    ASSERT_FALSE(io_values.empty());
+    if (first.empty()) {
+      first = io_values;
+      continue;
+    }
+    ASSERT_EQ(io_values.size(), first.size());
+    for (std::size_t i = 0; i < first.size(); ++i) {
+      EXPECT_EQ(io_values[i].name, first[i].name);
+      EXPECT_EQ(io_values[i].value, first[i].value) << first[i].name;
+    }
+  }
 }
 
 TEST(ParallelKernelProfile, GossipRunMetersExchangeTraffic) {
@@ -266,26 +286,20 @@ TEST(ParallelKernelProfile, GossipRunMetersExchangeTraffic) {
   const RunResult profiled = scenario::run_scenario_trial(spec, 17);
   expect_bit_identical(plain, profiled);
 
-  const obs::BandwidthSnapshot bandwidth =
-      obs::BandwidthMeter::global().snapshot();
   // The default substrate is digest anti-entropy: control traffic
   // (summaries, digests, want-lists) on gossip.digest, payload ranges on
   // gossip.delta, and nothing on the legacy exchange channel.
-  const auto& digest = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kGossipDigest)];
-  const auto& delta = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kGossipDelta)];
-  const auto& exchange = bandwidth.channels[static_cast<std::size_t>(
-      obs::IoChannel::kGossipExchange)];
-  EXPECT_GT(digest.write_bits, 0u);
-  EXPECT_GT(delta.write_bits, 0u);
-  EXPECT_EQ(exchange.write_bits, 0u);
+  EXPECT_GT(io(obs::IoChannel::kGossipDigest, "write_bits"), 0u);
+  EXPECT_GT(io(obs::IoChannel::kGossipDelta, "write_bits"), 0u);
+  EXPECT_EQ(io(obs::IoChannel::kGossipExchange, "write_bits"), 0u);
   // Every metered bit was sent by some node and received by some node
   // (absorbed deltas are simply never sent), so the two sides of each
   // channel balance exactly.
-  EXPECT_EQ(digest.read_bits, digest.write_bits);
-  EXPECT_EQ(delta.read_bits, delta.write_bits);
-  EXPECT_GT(bandwidth.per_player.players, 0u);
+  for (const obs::IoChannel channel :
+       {obs::IoChannel::kGossipDigest, obs::IoChannel::kGossipDelta}) {
+    EXPECT_EQ(io(channel, "read_bits"), io(channel, "write_bits"));
+    EXPECT_EQ(io(channel, "read_ops"), io(channel, "write_ops"));
+  }
 }
 
 // ------------------------------------------- trial-driver metrics hygiene
@@ -330,6 +344,10 @@ TEST(Runner, MetricTotalsAreDriverThreadCountInvariant) {
   const std::vector<obs::CounterSample> t8 = counter_totals(8);
   ASSERT_FALSE(t1.empty());
   ASSERT_EQ(t1.size(), t8.size());
+  // The io.* channel counters are among the totals compared exactly.
+  EXPECT_TRUE(std::any_of(t1.begin(), t1.end(), [](const auto& sample) {
+    return sample.name == "io.billboard.commit.write_bits" && sample.value > 0;
+  }));
   for (std::size_t i = 0; i < t1.size(); ++i) {
     SCOPED_TRACE(t1[i].name);
     EXPECT_EQ(t1[i].name, t8[i].name);
