@@ -84,7 +84,10 @@ def validate_report(doc, path):
     for name in (counters or {}):
         if name.startswith("io."):
             need(counters, name, int, "counters")
-            if name.rsplit(".", 1)[-1] not in IO_FIELDS:
+            parts = name.split(".")
+            if len(parts) < 3 or not all(parts):
+                errors.append(f"counters.{name}: want io.<channel>.<field>")
+            elif parts[-1] not in IO_FIELDS:
                 errors.append(f"counters.{name}: unknown io field")
     need(doc, "gauges", dict, "$")
     timers = need(doc, "timers", dict, "$")
