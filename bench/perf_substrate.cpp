@@ -316,9 +316,9 @@ struct ServiceRecord {
   std::size_t clients = 0;
   std::uint64_t posts = 0;
   double posts_per_sec = 0.0;
-  std::uint64_t queries = 0;
-  std::uint64_t query_p50_ns = 0;
-  std::uint64_t query_p99_ns = 0;
+  std::uint64_t reads = 0;
+  std::uint64_t read_p50_ns = 0;
+  std::uint64_t read_p99_ns = 0;
   std::uint64_t errors = 0;
 };
 
@@ -396,9 +396,9 @@ void write_perf_json(const std::vector<BenchResult>& results,
     json.member("clients", static_cast<std::uint64_t>(service.clients));
     json.member("posts", service.posts);
     json.member("posts_per_sec", service.posts_per_sec);
-    json.member("queries", service.queries);
-    json.member("query_p50_ns", service.query_p50_ns);
-    json.member("query_p99_ns", service.query_p99_ns);
+    json.member("reads", service.reads);
+    json.member("read_p50_ns", service.read_p50_ns);
+    json.member("read_p99_ns", service.read_p99_ns);
     json.member("errors", service.errors);
     json.end_object();
   }
@@ -805,7 +805,7 @@ int main() {
   // (tools/bbload shares run_loadgen) against an in-process
   // BillboardServer. 512 concurrent connections spread over 8 shared
   // replica boards; the posts phase measures steady-state ingest, the
-  // query phase times every window query for the p50/p99 tail. The same
+  // read phase times every tail pull for the p50/p99 tail. The same
   // workload runs against three server geometries (1/2/4 IO threads,
   // boards sharded across them) for the service-scaling gate in
   // scripts/check_perf.py, then once more at t1 with 16 in-flight
@@ -834,7 +834,7 @@ int main() {
     // actually fill (at 4 batches the window never exceeded 4).
     options.batches = 16;
     options.batch_posts = 8;
-    options.queries = 4;
+    options.reads = 4;
     options.players = 512;
     options.objects = 256;
     options.pipeline = pipeline;
@@ -860,21 +860,21 @@ int main() {
     std::vector<std::uint64_t> p99s;
     for (const LoadgenReport& r : reports) {
       rates.push_back(r.posts_per_sec);
-      p99s.push_back(r.query_p99_ns);
+      p99s.push_back(r.read_p99_ns);
       service.posts = r.posts;
-      service.queries = r.queries;
+      service.reads = r.reads;
       service.errors += r.errors;
     }
     std::sort(rates.begin(), rates.end());
     std::sort(p99s.begin(), p99s.end());
     service.clients = options.clients;
     service.posts_per_sec = rates[rates.size() / 2];
-    service.query_p50_ns = reports[reports.size() / 2].query_p50_ns;
-    service.query_p99_ns = p99s[p99s.size() / 2];
+    service.read_p50_ns = reports[reports.size() / 2].read_p50_ns;
+    service.read_p99_ns = p99s[p99s.size() / 2];
     std::cout << "  " << service.name << ": " << service.clients
               << " clients, " << service.posts_per_sec / 1e3
-              << " k posts/s, query p99 "
-              << static_cast<double>(service.query_p99_ns) / 1e3 << " us, "
+              << " k posts/s, read p99 "
+              << static_cast<double>(service.read_p99_ns) / 1e3 << " us, "
               << service.errors << " errors\n";
     services.push_back(service);
     return service;

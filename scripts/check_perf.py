@@ -36,10 +36,11 @@ smoke test against gross regressions, not a profiler):
      server geometry) must report zero errors and posts_per_sec >=
      --min-service-posts-per-sec (default 50000 — a deliberately low
      floor; even a single-core machine sustains >10x that). With
-     --baseline, each record's query_p99_ns must not exceed its
-     baseline counterpart's by more than --max-service-p99-ratio
-     (default 5.0; tail latencies are the noisiest number here, hence
-     the widest multiplier).
+     --baseline, each record's read_p99_ns (tail-pull latency) must not
+     exceed its baseline counterpart's by more than
+     --max-service-p99-ratio (default 5.0; tail latencies are the
+     noisiest number here, hence the widest multiplier). A record with
+     no baseline read_p99_ns fails rather than skipping the gate.
   6. service scaling: billboard_service_unix_t4 / _t1 posts_per_sec must
      stay >= --min-service-scaling (default 2.0) — but only when the
      producing machine recorded hw_threads >= 4; below that the row
@@ -186,13 +187,18 @@ def check_services(doc, baseline, min_posts_per_sec, max_p99_ratio):
               f"(floor {min_posts_per_sec / 1e3:.0f}k) {status}")
         if rate < min_posts_per_sec:
             ok = False
+        if baseline is None:
+            continue
         base = base_by_name.get(name)
-        if isinstance(base, dict) and base.get("query_p99_ns", 0) > 0:
-            p99 = service.get("query_p99_ns", 0)
-            ratio = p99 / base["query_p99_ns"]
+        if not isinstance(base, dict) or base.get("read_p99_ns", 0) <= 0:
+            print(f"  service {name}: no baseline read_p99_ns FAIL")
+            ok = False
+        else:
+            p99 = service.get("read_p99_ns", 0)
+            ratio = p99 / base["read_p99_ns"]
             status = "ok" if ratio <= max_p99_ratio else "FAIL"
-            print(f"  service {name}: query p99 {p99 / 1e3:.0f} us vs "
-                  f"baseline {base['query_p99_ns'] / 1e3:.0f} us "
+            print(f"  service {name}: read p99 {p99 / 1e3:.0f} us vs "
+                  f"baseline {base['read_p99_ns'] / 1e3:.0f} us "
                   f"({ratio:.2f}x, limit {max_p99_ratio}x) {status}")
             if ratio > max_p99_ratio:
                 ok = False

@@ -329,12 +329,12 @@ def render_bench(bench, baseline, out):
                    "server geometry; p99 delta is vs the checked-in "
                    "baseline.\n")
         out.append("| service | io threads | pipeline | posts/s | "
-                   "query p99 | p99 delta |")
+                   "read p99 | p99 delta |")
         out.append("|---|---:|---:|---:|---:|---:|")
         for s in services:
             base = base_services.get(s.get("name"))
-            if base and base.get("query_p99_ns"):
-                delta = 100.0 * (s["query_p99_ns"] / base["query_p99_ns"]
+            if base and base.get("read_p99_ns"):
+                delta = 100.0 * (s["read_p99_ns"] / base["read_p99_ns"]
                                  - 1.0)
                 delta_cell = f"{delta:+.1f}%"
             else:
@@ -342,7 +342,7 @@ def render_bench(bench, baseline, out):
             out.append(f"| {s['name']} | {s.get('io_threads', 1)} | "
                        f"{s.get('pipeline', 1)} | "
                        f"{s['posts_per_sec'] / 1e3:.0f}k | "
-                       f"{fmt_ns(s['query_p99_ns'])} | {delta_cell} |")
+                       f"{fmt_ns(s['read_p99_ns'])} | {delta_cell} |")
         out.append("")
     pipelining = bench.get("service_pipelining")
     if isinstance(pipelining, dict) and \

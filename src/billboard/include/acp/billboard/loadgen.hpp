@@ -8,8 +8,9 @@
 //            phase clock starts after every connection is open, so the
 //            reported posts/sec is steady-state ingest, not connect
 //            cost.
-//   query  — every client issues `queries` single-object window queries,
-//            one in flight and individually timed for the p50/p99 tail.
+//   read   — every client pulls the tail its last commit ack reported,
+//            `reads` times, one pull in flight and each timed for the
+//            p50/p99 tail: the catch-up read a mirroring client makes.
 //
 // `threads` splits the swarm across driver threads (each with its own
 // poll loop over its slice of connections); clients keep their *global*
@@ -36,7 +37,7 @@ struct LoadgenOptions {
   std::size_t clients = 10'000;
   std::size_t batches = 5;      ///< commits per client
   std::size_t batch_posts = 10; ///< posts per commit
-  std::size_t queries = 5;      ///< timed window queries per client
+  std::size_t reads = 5;        ///< timed tail pulls per client
   /// Shared-board dimensions. Every client posts as author
   /// (client index mod players).
   std::size_t players = 10'000;
@@ -56,10 +57,10 @@ struct LoadgenReport {
   std::uint64_t posts = 0;
   double post_seconds = 0.0;
   double posts_per_sec = 0.0;
-  std::uint64_t queries = 0;
-  double query_seconds = 0.0;
-  std::uint64_t query_p50_ns = 0;
-  std::uint64_t query_p99_ns = 0;
+  std::uint64_t reads = 0;
+  double read_seconds = 0.0;
+  std::uint64_t read_p50_ns = 0;
+  std::uint64_t read_p99_ns = 0;
   /// kError replies + connections lost mid-run.
   std::uint64_t errors = 0;
 };

@@ -18,7 +18,7 @@
 // exactly what a local Billboard accepts, so the mirror still equals
 // the server log at every read point of a correct run), each ack is
 // verified against the expected log size, and every in-flight ack is
-// drained before any read RPC touches the socket. The trade: a
+// drained before a stat or snapshot touches the socket. The trade: a
 // rejection now surfaces on a *later* call, after the mirror advanced.
 // Shared named boards stay at depth 1 — their ack-size bookkeeping
 // drives the pull-tail catch-up and cannot tolerate mirror lead.
@@ -73,10 +73,6 @@ class RemoteBillboard final : public BillboardService {
   [[nodiscard]] const Billboard& board() const noexcept override {
     return mirror_;
   }
-  [[nodiscard]] Count votes_in_window(ObjectId object, Round begin,
-                                      Round end) override;
-  void votes_in_window_batch(std::span<const ObjectId> objects, Round begin,
-                             Round end, std::vector<Count>& out) override;
   [[nodiscard]] std::vector<Post> snapshot() override;
   [[nodiscard]] std::string backend_name() const override;
 
@@ -93,9 +89,12 @@ class RemoteBillboard final : public BillboardService {
   [[noreturn]] void unexpected_reply(net::Frame reply, const char* wanted);
   /// Fold the server tail [mirror.size, server_size) into the mirror.
   void pull_tail(std::uint64_t server_size, Round server_last_round);
+  /// One kPull of [begin, end): the posts of the reply, which may stop
+  /// short of `end` but is never empty.
+  [[nodiscard]] std::vector<Post> pull(std::uint64_t begin, std::uint64_t end);
   /// Read one pending commit ack and verify its reported log size.
   void drain_one_ack();
-  /// Read every in-flight commit ack (before any read RPC).
+  /// Read every in-flight commit ack (before a stat or a pull).
   void drain_acks();
 
   net::FdHandle fd_;
@@ -105,12 +104,10 @@ class RemoteBillboard final : public BillboardService {
   net::FrameAssembler assembler_;
   std::vector<std::uint8_t> out_;        ///< encode buffer, reused
   std::vector<std::uint8_t> recv_buf_;   ///< socket read chunk, reused
-  std::vector<Post> pull_scratch_;       ///< pulled-tail staging, reused
   std::size_t pipeline_ = 1;
   /// Expected server log size per unacked in-flight commit (FIFO).
   std::deque<std::uint64_t> pending_acks_;
   obs::TimerStat* commit_timer_;
-  obs::TimerStat* query_timer_;
 };
 
 }  // namespace acp

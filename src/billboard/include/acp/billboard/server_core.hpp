@@ -46,7 +46,6 @@
 #include <vector>
 
 #include "acp/billboard/billboard.hpp"
-#include "acp/billboard/vote_ledger.hpp"
 #include "acp/billboard/wire.hpp"
 #include "acp/net/frame.hpp"
 
@@ -60,7 +59,6 @@ class BillboardServerCore {
     std::uint64_t boards = 0;
     std::uint64_t commits = 0;
     std::uint64_t posts = 0;
-    std::uint64_t queries = 0;
     std::uint64_t pulls = 0;
     std::uint64_t errors = 0;
     std::uint64_t forwarded = 0;  ///< frames shipped to another worker
@@ -132,18 +130,14 @@ class BillboardServerCore {
   [[nodiscard]] Stats stats() const noexcept { return stats_; }
 
  private:
-  /// One board plus its read-side ledger (the §4 one-vote rule lives on
-  /// the server so window queries are a single RPC, not a post transfer).
+  /// One board plus its commit-validation state. Clients count votes
+  /// over their own mirrors, so the server keeps no ledger.
   struct BoardState {
     BoardState(std::size_t num_players, std::size_t num_objects,
                Billboard::Mode mode)
-        : board(num_players, num_objects, mode),
-          ledger(VotePolicy::kFirstPositive, num_players, num_objects) {}
+        : board(num_players, num_objects, mode) {}
 
     Billboard board;
-    VoteLedger ledger;
-    std::vector<ObjectId> object_scratch;
-    std::vector<Count> count_scratch;
     // Generation-stamped duplicate-author check for authoritative commits.
     std::vector<std::uint64_t> author_seen;
     std::uint64_t commit_epoch = 0;
@@ -156,8 +150,7 @@ class BillboardServerCore {
     std::size_t owner = 0;   ///< owning worker when forwarded
   };
 
-  /// Returns false when the connection must close.
-  bool handle_frame(Session& session, std::uint64_t session_id,
+  void handle_frame(Session& session, std::uint64_t session_id,
                     net::Frame frame, std::vector<std::uint8_t>& out,
                     const ForwardFn* forward);
   /// Everything a session can ask of a board it already opened. Shared
@@ -178,13 +171,13 @@ class BillboardServerCore {
                      std::vector<std::uint8_t>& out);
   void handle_pull(BoardState& board, std::span<const std::uint8_t> payload,
                    std::vector<std::uint8_t>& out);
+  /// Runs `handle`, turning what it throws into one kError: the reply
+  /// bytes from `reply_start` on are dropped first, so a request that
+  /// failed halfway never leaves a partial frame in `out`.
+  template <class Handle>
+  void answer(std::vector<std::uint8_t>& out, bbwire::MsgType type,
+              Handle&& handle);
   void send_error(std::vector<std::uint8_t>& out, const std::string& message);
-  /// A request that ran out of memory (std::bad_alloc) or asked for more
-  /// than a container can hold (std::length_error): the reply bytes from
-  /// `reply_start` on are replaced by one kError, and serving goes on.
-  void send_resource_error(std::vector<std::uint8_t>& out,
-                           std::size_t reply_start, bbwire::MsgType type,
-                           const char* reason);
 
   std::size_t worker_ = 0;
   std::size_t workers_ = 1;

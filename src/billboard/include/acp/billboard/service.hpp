@@ -49,16 +49,19 @@ class BillboardService {
   /// *through this service instance* (see the visibility note above).
   [[nodiscard]] virtual const Billboard& board() const noexcept = 0;
 
-  /// Votes for `object` with round in [begin, end), under the service's
-  /// vote policy (kFirstPositive, f = 1 — the §4 one-vote rule).
+  /// Votes for `object` with round in [begin, end) on board(), under the
+  /// §4 one-vote rule (kFirstPositive, f = 1). Builds a ledger per call:
+  /// no run path counts here — protocols keep their own ledgers. These
+  /// two stay virtual only because perfbench's TracedService overrides
+  /// them; they leave the interface together with that override.
   [[nodiscard]] virtual Count votes_in_window(ObjectId object, Round begin,
-                                              Round end) = 0;
+                                              Round end);
 
-  /// Batched votes_in_window over one shared window; `out` is resized to
-  /// objects.size(). Allocation-free in steady state.
+  /// votes_in_window for each of `objects` over one window; `out` is
+  /// resized to objects.size().
   virtual void votes_in_window_batch(std::span<const ObjectId> objects,
                                      Round begin, Round end,
-                                     std::vector<Count>& out) = 0;
+                                     std::vector<Count>& out);
 
   /// Copy of the full post log (commit order). Remote backends fetch it
   /// from the server — the one read that bypasses the local mirror, used
@@ -81,15 +84,11 @@ class BillboardService {
   }
 };
 
-/// The default backend: owns a Billboard, forwards every call. The vote
-/// ledger behind the window queries is created lazily on first query so
-/// engines that never query (all of them today — they keep their own
-/// ledgers) pay nothing.
+/// The default backend: owns a Billboard, forwards every call.
 class InProcessBillboard final : public BillboardService {
  public:
   InProcessBillboard(std::size_t num_players, std::size_t num_objects,
                      Billboard::Mode mode = Billboard::Mode::kAuthoritative);
-  ~InProcessBillboard() override;
 
   void commit_round(Round round, std::vector<Post> posts) override;
   void commit_round_from(Round round, std::span<const Post> posts) override;
@@ -97,19 +96,11 @@ class InProcessBillboard final : public BillboardService {
   [[nodiscard]] const Billboard& board() const noexcept override {
     return board_;
   }
-  [[nodiscard]] Count votes_in_window(ObjectId object, Round begin,
-                                      Round end) override;
-  void votes_in_window_batch(std::span<const ObjectId> objects, Round begin,
-                             Round end, std::vector<Count>& out) override;
   [[nodiscard]] std::vector<Post> snapshot() override;
   [[nodiscard]] std::string backend_name() const override { return "inproc"; }
 
  private:
-  class QueryLedger;  // lazily-built VoteLedger wrapper
-  [[nodiscard]] QueryLedger& ledger();
-
   Billboard board_;
-  std::unique_ptr<QueryLedger> ledger_;
 };
 
 /// Parsed form of the scenario/CLI `billboard.backend` value:

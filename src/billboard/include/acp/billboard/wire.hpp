@@ -9,12 +9,13 @@
 //   ----------------                ----------------
 //   kOpen    open/join a board      kOpenOk   board dims + current state
 //   kCommit  post batch for round   kCommitOk size + last round after
-//   kPull    post-log range [a,b)   kPosts    the posts of that range
-//   kWindowQuery  one-object count  kWindowCount
-//   kWindowBatch  many-object count kWindowCounts
+//   kPull    post-log range [a,b)   kPosts    a prefix of that range
 //   kReserve capacity hint          (no reply)
 //   kStat    board stats            kStatOk
 //                                   kError    failed request (any)
+//
+// Types 7-10 are retired and stay reserved: clients count votes over
+// their own mirror of the log, so the server only appends and pulls.
 //
 // A Post travels as: author varint · round zigzag-varint · object varint ·
 // reported_value 8B LE IEEE-754 · flags u8 (bit 0 = positive). At the
@@ -48,10 +49,7 @@ enum class MsgType : std::uint8_t {
   kCommitOk = 4,
   kPull = 5,
   kPosts = 6,
-  kWindowQuery = 7,
-  kWindowCount = 8,
-  kWindowBatch = 9,
-  kWindowCounts = 10,
+  // 7-10 retired (window counts); never reuse them.
   kReserve = 11,
   kStat = 12,
   kStatOk = 13,
@@ -62,6 +60,25 @@ enum class MsgType : std::uint8_t {
 
 /// Longest accepted shared-board name in kOpen.
 inline constexpr std::size_t kMaxBoardNameLen = 64;
+
+/// LEB128 length of a `bits`-wide value at its widest.
+[[nodiscard]] constexpr std::size_t max_varint_bytes(std::size_t bits) {
+  return (bits + 6) / 7;
+}
+
+/// Longest encoding of one Post: a 32-bit author, a zigzagged 64-bit
+/// round and a 32-bit object as varints, then value (8) and flags (1).
+inline constexpr std::size_t kMaxPostBytes =
+    max_varint_bytes(32) + max_varint_bytes(64) + max_varint_bytes(32) + 9;
+
+/// Most posts one kPosts frame carries, whatever the posts. A pull of a
+/// longer range is answered with its first kMaxPostsPerFrame posts; the
+/// client asks again from where the reply ended.
+inline constexpr std::size_t kMaxPostsPerFrame =
+    (net::kMaxFramePayload - max_varint_bytes(64)) / kMaxPostBytes;
+static_assert(max_varint_bytes(64) + kMaxPostsPerFrame * kMaxPostBytes <=
+                  net::kMaxFramePayload,
+              "a full kPosts reply must fit one frame");
 
 // -- Message bodies ---------------------------------------------------------
 
@@ -93,7 +110,8 @@ struct CommitMsg {
 };
 
 /// Post-log range [begin, end) — how a client catches its mirror up after
-/// other connections advanced a shared board.
+/// other connections advanced a shared board. The reply may stop short
+/// of `end` (kMaxPostsPerFrame).
 struct PullMsg {
   std::uint64_t begin = 0;
   std::uint64_t end = 0;
@@ -101,26 +119,6 @@ struct PullMsg {
 
 struct PostsMsg {
   std::vector<Post> posts;
-};
-
-struct WindowQueryMsg {
-  std::uint64_t object = 0;
-  Round begin = 0;
-  Round end = 0;
-};
-
-struct WindowCountMsg {
-  Count count = 0;
-};
-
-struct WindowBatchMsg {
-  Round begin = 0;
-  Round end = 0;
-  std::vector<std::uint64_t> objects;
-};
-
-struct WindowCountsMsg {
-  std::vector<Count> counts;
 };
 
 struct ReserveMsg {
@@ -153,13 +151,6 @@ void encode_posts(std::vector<std::uint8_t>& out, std::span<const Post> posts);
 /// answers). The same bytes as the span form over those posts.
 void encode_posts(std::vector<std::uint8_t>& out, const PostRange& posts,
                   std::size_t first, std::size_t last);
-void encode_window_query(std::vector<std::uint8_t>& out,
-                         const WindowQueryMsg& msg);
-void encode_window_count(std::vector<std::uint8_t>& out, Count count);
-void encode_window_batch(std::vector<std::uint8_t>& out, Round begin, Round end,
-                         std::span<const ObjectId> objects);
-void encode_window_counts(std::vector<std::uint8_t>& out,
-                          std::span<const Count> counts);
 void encode_reserve(std::vector<std::uint8_t>& out, std::uint64_t expected);
 void encode_stat(std::vector<std::uint8_t>& out);
 void encode_error(std::vector<std::uint8_t>& out, std::string_view message);
@@ -177,14 +168,6 @@ void encode_error(std::vector<std::uint8_t>& out, std::string_view message);
 [[nodiscard]] PostsMsg decode_posts(std::span<const std::uint8_t> payload,
                                     std::uint64_t num_players,
                                     std::uint64_t num_objects);
-[[nodiscard]] WindowQueryMsg decode_window_query(
-    std::span<const std::uint8_t> payload, std::uint64_t num_objects);
-[[nodiscard]] WindowCountMsg decode_window_count(
-    std::span<const std::uint8_t> payload);
-[[nodiscard]] WindowBatchMsg decode_window_batch(
-    std::span<const std::uint8_t> payload, std::uint64_t num_objects);
-[[nodiscard]] WindowCountsMsg decode_window_counts(
-    std::span<const std::uint8_t> payload);
 [[nodiscard]] ReserveMsg decode_reserve(std::span<const std::uint8_t> payload);
 [[nodiscard]] ErrorMsg decode_error(std::span<const std::uint8_t> payload);
 

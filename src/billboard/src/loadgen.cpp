@@ -40,8 +40,8 @@ enum class State {
   kOpening,      ///< kOpen sent, waiting for kOpenOk
   kIdle,         ///< opened, parked until the next phase begins
   kPosting,      ///< commit in flight
-  kPosted,       ///< all batches acked, parked until the query phase
-  kQuerying,     ///< window query in flight
+  kPosted,       ///< all batches acked, parked until the read phase
+  kReading,      ///< pull in flight
   kDone,
   kDead,
 };
@@ -55,9 +55,10 @@ struct Client {
   std::size_t batches_queued = 0;  ///< commits sent (acked or in flight)
   std::size_t batches_done = 0;    ///< commits acked
   std::size_t inflight = 0;        ///< unacked in-flight commits
-  std::size_t queries_done = 0;
+  std::uint64_t acked_size = 0;  ///< board size its last commit ack reported
+  std::size_t reads_done = 0;
   std::uint64_t rng = 0;
-  Clock::time_point query_start{};
+  Clock::time_point read_start{};
   std::size_t index = 0;  ///< global across driver threads
 
   [[nodiscard]] bool wants_write() const noexcept {
@@ -90,13 +91,13 @@ class Loadgen {
   }
 
   LoadgenReport run() {
-    latencies_.reserve(opt_.clients * opt_.queries);
+    latencies_.reserve(opt_.clients * opt_.reads);
     loop();
     finish_report();
     return report_;
   }
 
-  /// Raw per-query samples (for cross-thread percentile merging).
+  /// Raw per-read samples (for cross-thread percentile merging).
   [[nodiscard]] std::vector<std::uint64_t> take_latencies() {
     return std::move(latencies_);
   }
@@ -290,7 +291,7 @@ class Loadgen {
 
   void on_readable(Client& client) {
     read_frames(client);
-    // Everything the acks queued (pipeline top-ups, next queries) goes
+    // Everything the acks queued (pipeline top-ups, next reads) goes
     // out in one send — coalescing on the client side too.
     if (client.alive()) {
       flush(client);
@@ -362,7 +363,9 @@ class Loadgen {
             kill(client);
             return false;
           }
-          (void)bbwire::decode_board_state(frame.payload, MsgType::kCommitOk);
+          client.acked_size =
+              bbwire::decode_board_state(frame.payload, MsgType::kCommitOk)
+                  .size;
           --client.inflight;
           report_.posts += opt_.batch_posts;
           ++client.batches_done;
@@ -373,20 +376,21 @@ class Loadgen {
             queue_commits(client);  // top up the window; caller flushes
           }
           return true;
-        case State::kQuerying: {
-          if (type != MsgType::kWindowCount) {
+        case State::kReading: {
+          if (type != MsgType::kPosts) {
             kill(client);
             return false;
           }
-          (void)bbwire::decode_window_count(frame.payload);
-          const auto elapsed = Clock::now() - client.query_start;
+          (void)bbwire::decode_posts(frame.payload, opt_.players,
+                                     opt_.objects);
+          const auto elapsed = Clock::now() - client.read_start;
           latencies_.push_back(static_cast<std::uint64_t>(
               std::chrono::duration_cast<std::chrono::nanoseconds>(elapsed)
                   .count()));
-          ++report_.queries;
-          ++client.queries_done;
-          if (client.queries_done < opt_.queries) {
-            queue_query(client);
+          ++report_.reads;
+          ++client.reads_done;
+          if (client.reads_done < opt_.reads) {
+            queue_read(client);
           } else {
             client.state = State::kDone;
             ++finished_;
@@ -444,14 +448,15 @@ class Loadgen {
     client.state = State::kPosting;
   }
 
-  void queue_query(Client& client) {
-    bbwire::WindowQueryMsg query;
-    query.object = splitmix64(client.rng) % opt_.objects;
-    query.begin = 0;
-    query.end = static_cast<Round>(opt_.batches) + 1;
-    client.query_start = Clock::now();
-    bbwire::encode_window_query(client.outbuf, query);
-    client.state = State::kQuerying;
+  /// Pull the tail the client's last commit ack reported: the last
+  /// batch_posts posts of the board as it stood then.
+  void queue_read(Client& client) {
+    const std::uint64_t end = client.acked_size;
+    const std::uint64_t begin =
+        end - std::min<std::uint64_t>(end, opt_.batch_posts);
+    client.read_start = Clock::now();
+    bbwire::encode_pull(client.outbuf, bbwire::PullMsg{begin, end});
+    client.state = State::kReading;
   }
 
   void kill(Client& client) {
@@ -497,16 +502,16 @@ class Loadgen {
       report_.post_seconds =
           std::chrono::duration<double>(Clock::now() - post_clock_start_)
               .count();
-      query_clock_start_ = Clock::now();
+      read_clock_start_ = Clock::now();
       for (Client& client : clients_) {
         if (client.state != State::kPosted) {
           continue;
         }
-        if (opt_.queries == 0) {
+        if (opt_.reads == 0) {
           client.state = State::kDone;
           ++finished_;
         } else {
-          queue_query(client);
+          queue_read(client);
           flush(client);
         }
       }
@@ -515,8 +520,8 @@ class Loadgen {
 
   void finish_report() {
     if (phase_ >= 2) {
-      report_.query_seconds =
-          std::chrono::duration<double>(Clock::now() - query_clock_start_)
+      report_.read_seconds =
+          std::chrono::duration<double>(Clock::now() - read_clock_start_)
               .count();
     }
     if (report_.post_seconds > 0.0) {
@@ -525,8 +530,8 @@ class Loadgen {
     }
     if (!latencies_.empty()) {
       std::sort(latencies_.begin(), latencies_.end());
-      report_.query_p50_ns = latencies_[latencies_.size() / 2];
-      report_.query_p99_ns =
+      report_.read_p50_ns = latencies_[latencies_.size() / 2];
+      report_.read_p99_ns =
           latencies_[std::min(latencies_.size() - 1,
                               latencies_.size() * 99 / 100)];
     }
@@ -542,7 +547,7 @@ class Loadgen {
   std::size_t posted_ = 0;
   std::size_t finished_ = 0;
   Clock::time_point post_clock_start_{};
-  Clock::time_point query_clock_start_{};
+  Clock::time_point read_clock_start_{};
 };
 
 }  // namespace
@@ -599,22 +604,22 @@ LoadgenReport run_loadgen(const LoadgenOptions& options) {
     }
     merged.clients_connected += slice.report.clients_connected;
     merged.posts += slice.report.posts;
-    merged.queries += slice.report.queries;
+    merged.reads += slice.report.reads;
     merged.errors += slice.report.errors;
     // The slices overlap in time, so the aggregate rate is the sum of
     // per-thread steady-state rates; seconds report the slowest slice.
     merged.posts_per_sec += slice.report.posts_per_sec;
     merged.post_seconds =
         std::max(merged.post_seconds, slice.report.post_seconds);
-    merged.query_seconds =
-        std::max(merged.query_seconds, slice.report.query_seconds);
+    merged.read_seconds =
+        std::max(merged.read_seconds, slice.report.read_seconds);
     latencies.insert(latencies.end(), slice.latencies.begin(),
                      slice.latencies.end());
   }
   if (!latencies.empty()) {
     std::sort(latencies.begin(), latencies.end());
-    merged.query_p50_ns = latencies[latencies.size() / 2];
-    merged.query_p99_ns = latencies[std::min(
+    merged.read_p50_ns = latencies[latencies.size() / 2];
+    merged.read_p99_ns = latencies[std::min(
         latencies.size() - 1, latencies.size() * 99 / 100)];
   }
   return merged;

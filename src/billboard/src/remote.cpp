@@ -15,9 +15,6 @@ namespace {
 using bbwire::MsgType;
 
 constexpr std::size_t kRecvChunk = 64 * 1024;
-/// Posts per kPull request when snapshotting; ~1.4 MiB of frame, well
-/// under the payload ceiling.
-constexpr std::uint64_t kPullChunk = 100'000;
 
 [[nodiscard]] MsgType frame_type(const net::Frame& frame) {
   return static_cast<MsgType>(frame.type);
@@ -34,9 +31,7 @@ RemoteBillboard::RemoteBillboard(const net::Endpoint& endpoint,
       peer_(endpoint.to_string()),
       mirror_(num_players, num_objects, mode),
       commit_timer_(&obs::MetricsRegistry::global().timer(
-          "billboard.rpc.commit")),
-      query_timer_(&obs::MetricsRegistry::global().timer(
-          "billboard.rpc.query")) {
+          "billboard.rpc.commit")) {
   pipeline_ = board_name_.empty() ? std::max<std::size_t>(1, pipeline) : 1;
   recv_buf_.resize(kRecvChunk);
   open_board(mode);
@@ -50,9 +45,7 @@ RemoteBillboard::RemoteBillboard(net::FdHandle fd, std::size_t num_players,
       peer_("fd"),
       mirror_(num_players, num_objects, mode),
       commit_timer_(&obs::MetricsRegistry::global().timer(
-          "billboard.rpc.commit")),
-      query_timer_(&obs::MetricsRegistry::global().timer(
-          "billboard.rpc.query")) {
+          "billboard.rpc.commit")) {
   ACP_EXPECTS(fd_.valid());
   pipeline_ = board_name_.empty() ? std::max<std::size_t>(1, pipeline) : 1;
   recv_buf_.resize(kRecvChunk);
@@ -171,65 +164,13 @@ void RemoteBillboard::drain_acks() {
   }
 }
 
-Count RemoteBillboard::votes_in_window(ObjectId object, Round begin,
-                                       Round end) {
-  const obs::ScopedTimer timer(*query_timer_);
-  drain_acks();
-  bbwire::WindowQueryMsg query;
-  query.object = object.value();
-  query.begin = begin;
-  query.end = end;
-  out_.clear();
-  bbwire::encode_window_query(out_, query);
-  const net::Frame reply = transact(obs::IoChannel::kBillboardRpcQuery);
-  if (frame_type(reply) != MsgType::kWindowCount) {
-    unexpected_reply(reply, "window_count");
-  }
-  return bbwire::decode_window_count(reply.payload).count;
-}
-
-void RemoteBillboard::votes_in_window_batch(std::span<const ObjectId> objects,
-                                            Round begin, Round end,
-                                            std::vector<Count>& out) {
-  const obs::ScopedTimer timer(*query_timer_);
-  drain_acks();
-  out_.clear();
-  bbwire::encode_window_batch(out_, begin, end, objects);
-  const net::Frame reply = transact(obs::IoChannel::kBillboardRpcQuery);
-  if (frame_type(reply) != MsgType::kWindowCounts) {
-    unexpected_reply(reply, "window_counts");
-  }
-  bbwire::WindowCountsMsg counts = bbwire::decode_window_counts(reply.payload);
-  if (counts.counts.size() != objects.size()) {
-    throw std::runtime_error(
-        "billboard server " + peer_ + " answered a window batch of " +
-        std::to_string(objects.size()) + " objects with " +
-        std::to_string(counts.counts.size()) + " counts");
-  }
-  out = std::move(counts.counts);
-}
-
 std::vector<Post> RemoteBillboard::snapshot() {
   const bbwire::BoardStateMsg state = stat();
   std::vector<Post> posts;
   posts.reserve(static_cast<std::size_t>(state.size));
   while (posts.size() < state.size) {
-    bbwire::PullMsg pull;
-    pull.begin = posts.size();
-    pull.end = std::min<std::uint64_t>(state.size, pull.begin + kPullChunk);
-    out_.clear();
-    bbwire::encode_pull(out_, pull);
-    const net::Frame reply = transact(obs::IoChannel::kBillboardRpcSnapshot);
-    if (frame_type(reply) != MsgType::kPosts) {
-      unexpected_reply(reply, "posts");
-    }
-    bbwire::PostsMsg batch = bbwire::decode_posts(
-        reply.payload, mirror_.num_players(), mirror_.num_objects());
-    if (batch.posts.empty()) {
-      throw std::runtime_error("billboard server " + peer_ +
-                               " returned an empty pull mid-snapshot");
-    }
-    posts.insert(posts.end(), batch.posts.begin(), batch.posts.end());
+    const std::vector<Post> batch = pull(posts.size(), state.size);
+    posts.insert(posts.end(), batch.begin(), batch.end());
   }
   return posts;
 }
@@ -249,29 +190,32 @@ void RemoteBillboard::pull_tail(std::uint64_t server_size,
                                 Round server_last_round) {
   ACP_EXPECTS(mirror_.mode() == Billboard::Mode::kReplica);
   while (mirror_.size() < server_size) {
-    bbwire::PullMsg pull;
-    pull.begin = mirror_.size();
-    pull.end = std::min<std::uint64_t>(server_size, pull.begin + kPullChunk);
-    out_.clear();
-    bbwire::encode_pull(out_, pull);
-    const net::Frame reply = transact(obs::IoChannel::kBillboardRpcSnapshot);
-    if (frame_type(reply) != MsgType::kPosts) {
-      unexpected_reply(reply, "posts");
-    }
-    bbwire::PostsMsg batch = bbwire::decode_posts(
-        reply.payload, mirror_.num_players(), mirror_.num_objects());
-    if (batch.posts.empty()) {
-      throw std::runtime_error("billboard server " + peer_ +
-                               " returned an empty pull mid-catch-up");
-    }
-    pull_scratch_ = std::move(batch.posts);
     // Commit the tail at an arrival round that is (a) monotone for the
     // mirror and (b) >= every stamp in the batch (stamps never exceed the
     // server's last committed round).
     const Round arrival =
         std::max(server_last_round, mirror_.last_committed_round() + 1);
-    mirror_.commit_round_from(arrival, pull_scratch_);
+    mirror_.commit_round_from(arrival, pull(mirror_.size(), server_size));
   }
+}
+
+std::vector<Post> RemoteBillboard::pull(std::uint64_t begin,
+                                        std::uint64_t end) {
+  out_.clear();
+  bbwire::encode_pull(out_, bbwire::PullMsg{begin, end});
+  const net::Frame reply = transact(obs::IoChannel::kBillboardRpcSnapshot);
+  if (frame_type(reply) != MsgType::kPosts) {
+    unexpected_reply(reply, "posts");
+  }
+  bbwire::PostsMsg batch = bbwire::decode_posts(
+      reply.payload, mirror_.num_players(), mirror_.num_objects());
+  if (batch.posts.empty()) {
+    throw std::runtime_error("billboard server " + peer_ +
+                             " returned an empty pull of [" +
+                             std::to_string(begin) + ", " +
+                             std::to_string(end) + ")");
+  }
+  return std::move(batch.posts);
 }
 
 net::Frame RemoteBillboard::transact(obs::IoChannel channel) {

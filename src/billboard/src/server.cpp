@@ -99,7 +99,6 @@ BillboardServerCore::Stats BillboardServer::stats() const {
     total.boards += s.boards;
     total.commits += s.commits;
     total.posts += s.posts;
-    total.queries += s.queries;
     total.pulls += s.pulls;
     total.errors += s.errors;
     total.forwarded += s.forwarded;

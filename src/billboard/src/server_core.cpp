@@ -92,21 +92,45 @@ bool BillboardServerCore::on_bytes(std::uint64_t session,
     if (!frame) {
       return true;
     }
-    if (!handle_frame(state, session, *frame, out,
-                      forward ? &forward : nullptr)) {
-      return false;
-    }
+    handle_frame(state, session, *frame, out, forward ? &forward : nullptr);
   }
 }
 
-bool BillboardServerCore::handle_frame(Session& session,
+template <class Handle>
+void BillboardServerCore::answer(std::vector<std::uint8_t>& out, MsgType type,
+                                 Handle&& handle) {
+  const std::size_t reply_start = out.size();
+  std::string error;
+  try {
+    handle();
+    return;
+  } catch (const net::WireFormatError& e) {
+    // Malformed payload inside an intact frame: report, keep serving.
+    error = e.what();
+  } catch (const ContractViolation& e) {
+    // Backstop — the explicit pre-validation should answer first.
+    error = std::string("billboard contract violation: ") + e.what();
+  } catch (const std::bad_alloc&) {
+    error = std::string("server could not handle ") +
+            bbwire::msg_type_name(type) + ": out of memory";
+  } catch (const std::length_error& e) {
+    error = std::string("server could not handle ") +
+            bbwire::msg_type_name(type) + ": " + e.what();
+  }
+  // The peer sees exactly one frame for the request: the error. An open
+  // that threw stored nothing: a board enters a session or shared_boards_
+  // only once it is fully built.
+  out.resize(reply_start);
+  send_error(out, error);
+}
+
+void BillboardServerCore::handle_frame(Session& session,
                                        std::uint64_t session_id,
                                        net::Frame frame,
                                        std::vector<std::uint8_t>& out,
                                        const ForwardFn* forward) {
   const MsgType type = static_cast<MsgType>(frame.type);
-  const std::size_t reply_start = out.size();
-  try {
+  answer(out, type, [&] {
     if (session.forwarded) {
       // The session is pinned to the owning worker; every frame —
       // including a retried kOpen — travels there so replies stay FIFO
@@ -114,37 +138,17 @@ bool BillboardServerCore::handle_frame(Session& session,
       ACP_EXPECTS(forward != nullptr);
       ++stats_.forwarded;
       (*forward)(session.owner, session_id, frame.type, frame.payload);
-      return true;
-    }
-    if (type == MsgType::kOpen) {
+    } else if (type == MsgType::kOpen) {
       handle_open_or_forward(session, session_id, frame.payload, out,
                              forward);
-      return true;
-    }
-    if (session.board == nullptr) {
+    } else if (session.board == nullptr) {
       send_error(out, std::string("received ") + bbwire::msg_type_name(type) +
                           " before open — every session must open a board "
                           "first");
-      return true;
+    } else {
+      handle_board_frame(*session.board, type, frame.payload, out);
     }
-    handle_board_frame(*session.board, type, frame.payload, out);
-    return true;
-  } catch (const net::WireFormatError& error) {
-    // Malformed payload inside an intact frame: report, keep serving.
-    send_error(out, error.what());
-    return true;
-  } catch (const ContractViolation& error) {
-    // Backstop — the explicit pre-validation above should answer first.
-    send_error(out, std::string("billboard contract violation: ") +
-                        error.what());
-    return true;
-  } catch (const std::bad_alloc&) {
-    send_resource_error(out, reply_start, type, "out of memory");
-    return true;
-  } catch (const std::length_error& error) {
-    send_resource_error(out, reply_start, type, error.what());
-    return true;
-  }
+  });
 }
 
 void BillboardServerCore::handle_board_frame(
@@ -157,33 +161,6 @@ void BillboardServerCore::handle_board_frame(
     case MsgType::kPull:
       handle_pull(board, payload, out);
       return;
-    case MsgType::kWindowQuery: {
-      const bbwire::WindowQueryMsg query =
-          bbwire::decode_window_query(payload, board.board.num_objects());
-      board.ledger.ingest(board.board);
-      const Count count = board.ledger.votes_in_window(
-          ObjectId(static_cast<std::size_t>(query.object)), query.begin,
-          query.end);
-      bbwire::encode_window_count(out, count);
-      ++stats_.queries;
-      return;
-    }
-    case MsgType::kWindowBatch: {
-      const bbwire::WindowBatchMsg query =
-          bbwire::decode_window_batch(payload, board.board.num_objects());
-      board.object_scratch.clear();
-      board.object_scratch.reserve(query.objects.size());
-      for (const std::uint64_t object : query.objects) {
-        board.object_scratch.push_back(
-            ObjectId(static_cast<std::size_t>(object)));
-      }
-      board.ledger.ingest(board.board);
-      board.ledger.votes_in_window_batch(board.object_scratch, query.begin,
-                                         query.end, board.count_scratch);
-      bbwire::encode_window_counts(out, board.count_scratch);
-      ++stats_.queries;
-      return;
-    }
     case MsgType::kReserve: {
       const bbwire::ReserveMsg msg = bbwire::decode_reserve(payload);
       // Clamp: a hostile hint must not become an allocation bomb.
@@ -200,11 +177,10 @@ void BillboardServerCore::handle_board_frame(
       return;
     }
     default:
-      send_error(out,
-                 std::string("unexpected message type ") +
-                     bbwire::msg_type_name(type) +
-                     " (clients send open/commit/pull/window_query/"
-                     "window_batch/reserve/stat)");
+      send_error(out, "unexpected message type " +
+                          std::to_string(static_cast<int>(type)) + " (" +
+                          bbwire::msg_type_name(type) +
+                          "; clients send open/commit/pull/reserve/stat)");
       return;
   }
 }
@@ -284,8 +260,7 @@ void BillboardServerCore::apply_forwarded(std::uint64_t token,
                                           std::span<const std::uint8_t> payload,
                                           std::vector<std::uint8_t>& out) {
   const MsgType msg_type = static_cast<MsgType>(type);
-  const std::size_t reply_start = out.size();
-  try {
+  answer(out, msg_type, [&] {
     if (msg_type == MsgType::kOpen) {
       if (remote_sessions_.find(token) != remote_sessions_.end()) {
         send_error(out, "session already opened a board");
@@ -321,16 +296,7 @@ void BillboardServerCore::apply_forwarded(std::uint64_t token,
       return;
     }
     handle_board_frame(*it->second, msg_type, payload, out);
-  } catch (const net::WireFormatError& error) {
-    send_error(out, error.what());
-  } catch (const ContractViolation& error) {
-    send_error(out, std::string("billboard contract violation: ") +
-                        error.what());
-  } catch (const std::bad_alloc&) {
-    send_resource_error(out, reply_start, msg_type, "out of memory");
-  } catch (const std::length_error& error) {
-    send_resource_error(out, reply_start, msg_type, error.what());
-  }
+  });
 }
 
 void BillboardServerCore::close_forwarded(std::uint64_t token) {
@@ -412,7 +378,8 @@ void BillboardServerCore::handle_pull(BoardState& board,
   const bbwire::PullMsg msg = bbwire::decode_pull(payload);
   const std::uint64_t size = board.board.size();
   const std::uint64_t begin = std::min(msg.begin, size);
-  const std::uint64_t end = std::min(msg.end, size);
+  const std::uint64_t end =
+      std::min({msg.end, size, begin + bbwire::kMaxPostsPerFrame});
   bbwire::encode_posts(out, board.board.posts(),
                        static_cast<std::size_t>(begin),
                        static_cast<std::size_t>(end));
@@ -423,18 +390,6 @@ void BillboardServerCore::send_error(std::vector<std::uint8_t>& out,
                                      const std::string& message) {
   bbwire::encode_error(out, message);
   ++stats_.errors;
-}
-
-void BillboardServerCore::send_resource_error(std::vector<std::uint8_t>& out,
-                                              std::size_t reply_start,
-                                              MsgType type,
-                                              const char* reason) {
-  // Drop any partial reply, so the peer sees exactly one frame: the error.
-  // An open that threw stored nothing: a board enters a session or
-  // shared_boards_ only once it is fully built.
-  out.resize(reply_start);
-  send_error(out, std::string("server could not handle ") +
-                      bbwire::msg_type_name(type) + ": " + reason);
 }
 
 }  // namespace acp

@@ -5,30 +5,34 @@
 
 namespace acp {
 
-/// VoteLedger with the ingest bookkeeping the window queries need. The
-/// one-vote rule is a read-side policy (vote_ledger.hpp): the service
-/// answers with kFirstPositive, f = 1 — the §4 configuration — matching
-/// what the server core uses, so both backends count identically.
-class InProcessBillboard::QueryLedger {
- public:
-  QueryLedger(std::size_t num_players, std::size_t num_objects)
-      : ledger_(VotePolicy::kFirstPositive, num_players, num_objects) {}
+namespace {
 
-  VoteLedger& fresh(const Billboard& board) {
-    ledger_.ingest(board);
-    return ledger_;
-  }
+/// The §4 one-vote rule over `board`, built fresh for one count.
+VoteLedger first_positive_ledger(const Billboard& board) {
+  VoteLedger ledger(VotePolicy::kFirstPositive, board.num_players(),
+                    board.num_objects());
+  ledger.ingest(board);
+  return ledger;
+}
 
- private:
-  VoteLedger ledger_;
-};
+}  // namespace
+
+Count BillboardService::votes_in_window(ObjectId object, Round begin,
+                                        Round end) {
+  return first_positive_ledger(board()).votes_in_window(object, begin, end);
+}
+
+void BillboardService::votes_in_window_batch(std::span<const ObjectId> objects,
+                                             Round begin, Round end,
+                                             std::vector<Count>& out) {
+  first_positive_ledger(board()).votes_in_window_batch(objects, begin, end,
+                                                       out);
+}
 
 InProcessBillboard::InProcessBillboard(std::size_t num_players,
                                        std::size_t num_objects,
                                        Billboard::Mode mode)
     : board_(num_players, num_objects, mode) {}
-
-InProcessBillboard::~InProcessBillboard() = default;
 
 void InProcessBillboard::commit_round(Round round, std::vector<Post> posts) {
   board_.commit_round(round, std::move(posts));
@@ -41,25 +45,6 @@ void InProcessBillboard::commit_round_from(Round round,
 
 void InProcessBillboard::reserve(std::size_t expected_posts) {
   board_.reserve(expected_posts);
-}
-
-InProcessBillboard::QueryLedger& InProcessBillboard::ledger() {
-  if (!ledger_) {
-    ledger_ = std::make_unique<QueryLedger>(board_.num_players(),
-                                            board_.num_objects());
-  }
-  return *ledger_;
-}
-
-Count InProcessBillboard::votes_in_window(ObjectId object, Round begin,
-                                          Round end) {
-  return ledger().fresh(board_).votes_in_window(object, begin, end);
-}
-
-void InProcessBillboard::votes_in_window_batch(std::span<const ObjectId> objects,
-                                               Round begin, Round end,
-                                               std::vector<Count>& out) {
-  ledger().fresh(board_).votes_in_window_batch(objects, begin, end, out);
 }
 
 std::vector<Post> InProcessBillboard::snapshot() {

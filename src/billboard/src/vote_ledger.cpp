@@ -161,7 +161,7 @@ Count VoteLedger::votes_in_window(ObjectId object, Round begin,
       std::count_if(window.begin(), window.end(),
                     [object](const VoteEvent& e) { return e.object == object; });
   if (count != 0) {
-    obs::meter_read(obs::IoChannel::kWindowQuery, 1,
+    obs::meter_read(obs::IoChannel::kLedgerWindow, 1,
                     static_cast<std::uint64_t>(count) * obs::kVoteEventWireBits);
   }
   return static_cast<Count>(count);
@@ -174,7 +174,7 @@ std::uint32_t VoteLedger::count_window(
   // per-object counters are generation-stamped members: no O(m) allocation
   // or zeroing per call, only the touched entries are ever reset.
   if (!window.empty()) {
-    obs::meter_read(obs::IoChannel::kWindowQuery, 1,
+    obs::meter_read(obs::IoChannel::kLedgerWindow, 1,
                     window.size() * obs::kVoteEventWireBits);
   }
   if (window_stamp_.size() != num_objects_) {

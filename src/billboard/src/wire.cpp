@@ -47,10 +47,6 @@ const char* msg_type_name(MsgType type) noexcept {
     case MsgType::kCommitOk: return "commit_ok";
     case MsgType::kPull: return "pull";
     case MsgType::kPosts: return "posts";
-    case MsgType::kWindowQuery: return "window_query";
-    case MsgType::kWindowCount: return "window_count";
-    case MsgType::kWindowBatch: return "window_batch";
-    case MsgType::kWindowCounts: return "window_counts";
     case MsgType::kReserve: return "reserve";
     case MsgType::kStat: return "stat";
     case MsgType::kStatOk: return "stat_ok";
@@ -152,43 +148,6 @@ void encode_posts(std::vector<std::uint8_t>& out, const PostRange& posts,
   end_frame(out, at);
 }
 
-void encode_window_query(std::vector<std::uint8_t>& out,
-                         const WindowQueryMsg& msg) {
-  const std::size_t at =
-      begin_frame(out, static_cast<std::uint8_t>(MsgType::kWindowQuery));
-  put_varint(out, msg.object);
-  put_varint_signed(out, msg.begin);
-  put_varint_signed(out, msg.end);
-  end_frame(out, at);
-}
-
-void encode_window_count(std::vector<std::uint8_t>& out, Count count) {
-  const std::size_t at =
-      begin_frame(out, static_cast<std::uint8_t>(MsgType::kWindowCount));
-  put_varint_signed(out, count);
-  end_frame(out, at);
-}
-
-void encode_window_batch(std::vector<std::uint8_t>& out, Round begin, Round end,
-                         std::span<const ObjectId> objects) {
-  const std::size_t at =
-      begin_frame(out, static_cast<std::uint8_t>(MsgType::kWindowBatch));
-  put_varint_signed(out, begin);
-  put_varint_signed(out, end);
-  put_varint(out, objects.size());
-  for (const ObjectId object : objects) put_varint(out, object.value());
-  end_frame(out, at);
-}
-
-void encode_window_counts(std::vector<std::uint8_t>& out,
-                          std::span<const Count> counts) {
-  const std::size_t at =
-      begin_frame(out, static_cast<std::uint8_t>(MsgType::kWindowCounts));
-  put_varint(out, counts.size());
-  for (const Count count : counts) put_varint_signed(out, count);
-  end_frame(out, at);
-}
-
 void encode_reserve(std::vector<std::uint8_t>& out, std::uint64_t expected) {
   const std::size_t at =
       begin_frame(out, static_cast<std::uint8_t>(MsgType::kReserve));
@@ -276,72 +235,6 @@ PostsMsg decode_posts(std::span<const std::uint8_t> payload,
   PostsMsg msg;
   const std::uint64_t count = read_post_count(reader);
   msg.posts = read_posts(reader, count, num_players, num_objects);
-  reader.expect_done();
-  return msg;
-}
-
-WindowQueryMsg decode_window_query(std::span<const std::uint8_t> payload,
-                                   std::uint64_t num_objects) {
-  PayloadReader reader(payload, "window_query");
-  WindowQueryMsg msg;
-  msg.object = reader.varint();
-  if (msg.object >= num_objects) {
-    reader.fail("object " + std::to_string(msg.object) +
-                " out of range (board has " + std::to_string(num_objects) +
-                " objects)");
-  }
-  msg.begin = reader.varint_signed();
-  msg.end = reader.varint_signed();
-  reader.expect_done();
-  return msg;
-}
-
-WindowCountMsg decode_window_count(std::span<const std::uint8_t> payload) {
-  PayloadReader reader(payload, "window_count");
-  WindowCountMsg msg;
-  msg.count = reader.varint_signed();
-  reader.expect_done();
-  return msg;
-}
-
-WindowBatchMsg decode_window_batch(std::span<const std::uint8_t> payload,
-                                   std::uint64_t num_objects) {
-  PayloadReader reader(payload, "window_batch");
-  WindowBatchMsg msg;
-  msg.begin = reader.varint_signed();
-  msg.end = reader.varint_signed();
-  const std::uint64_t count = reader.varint();
-  if (count > reader.remaining()) {  // each object id is >= 1 byte
-    reader.fail("object count " + std::to_string(count) +
-                " cannot fit in a " + std::to_string(reader.remaining()) +
-                "-byte payload");
-  }
-  msg.objects.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    const std::uint64_t object = reader.varint();
-    if (object >= num_objects) {
-      reader.fail("object " + std::to_string(object) +
-                  " out of range (board has " + std::to_string(num_objects) +
-                  " objects)");
-    }
-    msg.objects.push_back(object);
-  }
-  reader.expect_done();
-  return msg;
-}
-
-WindowCountsMsg decode_window_counts(std::span<const std::uint8_t> payload) {
-  PayloadReader reader(payload, "window_counts");
-  WindowCountsMsg msg;
-  const std::uint64_t count = reader.varint();
-  if (count > reader.remaining()) {
-    reader.fail("count " + std::to_string(count) + " cannot fit in a " +
-                std::to_string(reader.remaining()) + "-byte payload");
-  }
-  msg.counts.reserve(static_cast<std::size_t>(count));
-  for (std::uint64_t i = 0; i < count; ++i) {
-    msg.counts.push_back(reader.varint_signed());
-  }
   reader.expect_done();
   return msg;
 }

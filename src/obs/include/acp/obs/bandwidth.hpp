@@ -52,14 +52,13 @@ inline constexpr std::uint64_t kDeltaHeaderWireBits = 64;
 enum class IoChannel : std::size_t {
   kBillboardCommit = 0,  ///< posts written to the authoritative board
   kLedgerIngest = 1,     ///< posts read into a vote ledger
-  kWindowQuery = 2,      ///< vote events scanned by window queries
+  kLedgerWindow = 2,     ///< vote events scanned by ledger window counts
   kGossipExchange = 3,   ///< posts pushed/pulled by the legacy exchange path
   kGossipDigest = 4,     ///< anti-entropy summaries, digests and want-lists
   kGossipDelta = 5,      ///< missing-post ranges transferred by anti-entropy
   kBillboardRpcPost = 6,      ///< bbwire commit frames to a remote billboard
-  kBillboardRpcQuery = 7,     ///< bbwire window-query/reply frames
-  kBillboardRpcSnapshot = 8,  ///< bbwire open/pull/stat frames
-  kCount = 9,
+  kBillboardRpcSnapshot = 7,  ///< bbwire open/pull/stat frames
+  kCount = 8,
 };
 
 [[nodiscard]] const char* io_channel_name(IoChannel channel) noexcept;

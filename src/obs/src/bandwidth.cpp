@@ -41,7 +41,7 @@ const char* io_channel_name(IoChannel channel) noexcept {
       return "billboard.commit";
     case IoChannel::kLedgerIngest:
       return "ledger.ingest";
-    case IoChannel::kWindowQuery:
+    case IoChannel::kLedgerWindow:
       return "ledger.window_query";
     case IoChannel::kGossipExchange:
       return "gossip.exchange";
@@ -51,8 +51,6 @@ const char* io_channel_name(IoChannel channel) noexcept {
       return "gossip.delta";
     case IoChannel::kBillboardRpcPost:
       return "billboard.rpc.post";
-    case IoChannel::kBillboardRpcQuery:
-      return "billboard.rpc.query";
     case IoChannel::kBillboardRpcSnapshot:
       return "billboard.rpc.snapshot";
     case IoChannel::kCount:

@@ -139,43 +139,6 @@ TEST(BbwireCodec, ControlMessagesRoundTrip) {
   }
 
   bytes.clear();
-  bbwire::encode_window_query(bytes, {9, Round{3}, Round{14}});
-  {
-    const net::Frame frame =
-        one_frame(assembler, bytes, MsgType::kWindowQuery);
-    const bbwire::WindowQueryMsg decoded =
-        bbwire::decode_window_query(frame.payload, 64);
-    EXPECT_EQ(decoded.object, 9u);
-    EXPECT_EQ(decoded.begin, 3);
-    EXPECT_EQ(decoded.end, 14);
-  }
-
-  bytes.clear();
-  const std::vector<ObjectId> objects = {ObjectId{1}, ObjectId{5},
-                                         ObjectId{63}};
-  bbwire::encode_window_batch(bytes, Round{0}, Round{8}, objects);
-  {
-    const net::Frame frame =
-        one_frame(assembler, bytes, MsgType::kWindowBatch);
-    const bbwire::WindowBatchMsg decoded =
-        bbwire::decode_window_batch(frame.payload, 64);
-    EXPECT_EQ(decoded.begin, 0);
-    EXPECT_EQ(decoded.end, 8);
-    EXPECT_EQ(decoded.objects, (std::vector<std::uint64_t>{1, 5, 63}));
-  }
-
-  bytes.clear();
-  const std::vector<Count> counts = {0, 3, 120};
-  bbwire::encode_window_counts(bytes, counts);
-  {
-    const net::Frame frame =
-        one_frame(assembler, bytes, MsgType::kWindowCounts);
-    const bbwire::WindowCountsMsg decoded =
-        bbwire::decode_window_counts(frame.payload);
-    EXPECT_EQ(decoded.counts, counts);
-  }
-
-  bytes.clear();
   bbwire::encode_error(bytes, "round 4 is not after round 7");
   {
     const net::Frame frame = one_frame(assembler, bytes, MsgType::kError);

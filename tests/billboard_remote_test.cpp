@@ -1,5 +1,5 @@
 // RemoteBillboard against a live BillboardServer, plus direct
-// BillboardServerCore hardening: commits, queries, pulls, shared boards,
+// BillboardServerCore hardening: commits, pulls, shared boards,
 // error replies, stream-desync close semantics.
 #include <sys/resource.h>
 #include <unistd.h>
@@ -37,6 +37,29 @@ Post make_post(std::size_t author, Round round, std::size_t object,
   post.reported_value = 1.0;
   post.positive = positive;
   return post;
+}
+
+/// Dimensions and batches of a board whose posts encode past one frame's
+/// payload limit: ids above 2^14 and rounds near 2^48 take 23 bytes a
+/// post, so 800k posts make ~17.5 MiB.
+constexpr std::size_t kWideIds = std::size_t{1} << 20;
+constexpr std::size_t kWideBatches = 8;
+constexpr std::size_t kWideBatchPosts = 100'000;
+constexpr Round kWideRound = Round{1} << 48;
+
+std::vector<Post> wide_batch(std::size_t batch) {
+  std::vector<Post> posts;
+  posts.reserve(kWideBatchPosts);
+  for (std::size_t i = batch * kWideBatchPosts;
+       i < (batch + 1) * kWideBatchPosts; ++i) {
+    Post post = make_post(16'384 + i * 7'919 % (kWideIds - 16'384),
+                          kWideRound + static_cast<Round>(batch),
+                          16'384 + i * 104'729 % (kWideIds - 16'384),
+                          i % 3 != 0);
+    post.reported_value = static_cast<double>(i);
+    posts.push_back(post);
+  }
+  return posts;
 }
 
 /// A server on an ephemeral TCP port for the test's lifetime (TCP rather
@@ -81,21 +104,8 @@ TEST_F(BillboardRemote, CommitReadAndQueryMatchInProcess) {
   EXPECT_EQ(remote.board().posts(), local.board().posts());
   EXPECT_EQ(remote.last_committed_round(), local.last_committed_round());
 
-  // Window queries answered by the server agree with the local ledger.
-  for (std::size_t object = 0; object < 4; ++object) {
-    EXPECT_EQ(remote.votes_in_window(ObjectId{object}, 0, 5),
-              local.votes_in_window(ObjectId{object}, 0, 5));
-  }
-  std::vector<Count> remote_counts;
-  std::vector<Count> local_counts;
-  const std::vector<ObjectId> objects = {ObjectId{0}, ObjectId{1},
-                                         ObjectId{2}, ObjectId{3}};
-  remote.votes_in_window_batch(objects, 1, 4, remote_counts);
-  local.votes_in_window_batch(objects, 1, 4, local_counts);
-  EXPECT_EQ(remote_counts, local_counts);
-
-  // snapshot() bypasses the mirror — it pins mirror == server log.
-  EXPECT_EQ(remote.snapshot(), local.board().posts().to_vector());
+  // snapshot() bypasses the mirror — it pins server log == in-process log.
+  EXPECT_EQ(remote.snapshot(), local.snapshot());
 
   const bbwire::BoardStateMsg stat = remote.stat();
   EXPECT_EQ(stat.size, local.size());
@@ -160,7 +170,7 @@ TEST_F(BillboardRemote, SharedBoardConvergesAcrossConnections) {
                          "shared");
   EXPECT_EQ(reader.size(), 4u);
   EXPECT_EQ(reader.board().posts(), writer_b.board().posts());
-  EXPECT_EQ(reader.votes_in_window(ObjectId{1}, 0, 2), 1);
+  EXPECT_EQ(reader.snapshot(), writer_b.board().posts().to_vector());
 }
 
 TEST_F(BillboardRemote, PullsCrossASegmentBoundary) {
@@ -198,6 +208,19 @@ TEST_F(BillboardRemote, PullsCrossASegmentBoundary) {
   EXPECT_EQ(follower.snapshot(), writer.board().posts().to_vector());
 }
 
+TEST_F(BillboardRemote, SnapshotPastOneFrameMatchesWriter) {
+  RemoteBillboard writer(endpoint(), kWideIds, kWideIds,
+                         Billboard::Mode::kReplica);
+  for (std::size_t batch = 0; batch < kWideBatches; ++batch) {
+    writer.commit_round_from(kWideRound + static_cast<Round>(batch),
+                             wide_batch(batch));
+  }
+  // The server answers the whole-log pull with one frame's worth; the
+  // client asks again from where each reply ended.
+  ASSERT_GT(writer.size(), bbwire::kMaxPostsPerFrame);
+  EXPECT_EQ(writer.snapshot(), writer.board().posts().to_vector());
+}
+
 TEST_F(BillboardRemote, SharedBoardDimensionMismatchIsRejected) {
   RemoteBillboard first(endpoint(), 8, 4, Billboard::Mode::kReplica,
                         "dims");
@@ -227,21 +250,38 @@ TEST(BillboardServerCore, MalformedPayloadKeepsConnection) {
   std::vector<std::uint8_t> open;
   bbwire::encode_open(open, {0, 4, 4, ""});
   ASSERT_TRUE(core.on_bytes(session, open, out));
-  out.clear();
 
-  // Commit for round -1: validation error -> kError reply, stream lives.
-  std::vector<std::uint8_t> bad_commit;
+  // Each bad request gets exactly one kError naming the problem, and the
+  // stream lives on. First a commit for round -1, then a frame of each
+  // retired type 7-10 (the old window-count messages), with a payload
+  // shaped like the old one.
+  std::vector<std::pair<std::vector<std::uint8_t>, std::string>> bad;
+  bad.emplace_back(std::vector<std::uint8_t>{}, "round");
   const Post post = make_post(0, -1, 0);
-  bbwire::encode_commit(bad_commit, -1, std::span<const Post>(&post, 1));
-  ASSERT_TRUE(core.on_bytes(session, bad_commit, out));
-  net::FrameAssembler assembler;
-  assembler.append(out);
-  const auto reply = assembler.next();
-  ASSERT_TRUE(reply.has_value());
-  EXPECT_EQ(reply->type, static_cast<std::uint8_t>(bbwire::MsgType::kError));
-  const bbwire::ErrorMsg error = bbwire::decode_error(reply->payload);
-  EXPECT_TRUE(contains(error.message, "round"));
-  EXPECT_EQ(core.stats().errors, 1u);
+  bbwire::encode_commit(bad.back().first, -1, std::span<const Post>(&post, 1));
+  for (std::uint8_t type = 7; type <= 10; ++type) {
+    std::vector<std::uint8_t> frame;
+    const std::size_t at = net::begin_frame(frame, type);
+    net::put_varint(frame, 1);
+    net::put_varint_signed(frame, 0);
+    net::put_varint_signed(frame, 5);
+    net::end_frame(frame, at);
+    bad.emplace_back(std::move(frame), "type " + std::to_string(type));
+  }
+  std::uint64_t errors = 0;
+  for (const auto& [frame, named] : bad) {
+    out.clear();
+    ASSERT_TRUE(core.on_bytes(session, frame, out));
+    net::FrameAssembler assembler;
+    assembler.append(out);
+    const auto reply = assembler.next();
+    ASSERT_TRUE(reply.has_value());
+    EXPECT_EQ(reply->type, static_cast<std::uint8_t>(bbwire::MsgType::kError));
+    const bbwire::ErrorMsg error = bbwire::decode_error(reply->payload);
+    EXPECT_TRUE(contains(error.message, named)) << error.message;
+    EXPECT_FALSE(assembler.next().has_value()) << "more than one reply";
+    EXPECT_EQ(core.stats().errors, ++errors);
+  }
 
   // The same session still accepts a good commit.
   out.clear();
@@ -250,6 +290,47 @@ TEST(BillboardServerCore, MalformedPayloadKeepsConnection) {
   bbwire::encode_commit(good_commit, 0, std::span<const Post>(&ok, 1));
   ASSERT_TRUE(core.on_bytes(session, good_commit, out));
   EXPECT_EQ(core.stats().commits, 1u);
+  net::FrameAssembler assembler;
+  assembler.append(out);
+  const auto reply = assembler.next();
+  ASSERT_TRUE(reply.has_value());
+  EXPECT_EQ(reply->type, static_cast<std::uint8_t>(bbwire::MsgType::kCommitOk));
+  core.close_session(session);
+}
+
+TEST(BillboardServerCore, PullPastOneFrameAnswersWellFormedFrames) {
+  BillboardServerCore core;
+  const std::uint64_t session = core.open_session();
+  std::vector<std::uint8_t> frame;
+  std::vector<std::uint8_t> out;
+  bbwire::encode_open(frame, {1, kWideIds, kWideIds, ""});
+  ASSERT_TRUE(core.on_bytes(session, frame, out));
+  for (std::size_t batch = 0; batch < kWideBatches; ++batch) {
+    frame.clear();
+    bbwire::encode_commit(frame, kWideRound + static_cast<Round>(batch),
+                          wide_batch(batch));
+    ASSERT_TRUE(core.on_bytes(session, frame, out));
+  }
+  ASSERT_EQ(core.stats().commits, kWideBatches);
+  constexpr std::uint64_t kPosts = kWideBatches * kWideBatchPosts;
+
+  // The whole log encodes past the frame limit, so the reply carries the
+  // first kMaxPostsPerFrame posts in one well-formed kPosts frame.
+  frame.clear();
+  bbwire::encode_pull(frame, {0, kPosts});
+  out.clear();
+  ASSERT_TRUE(core.on_bytes(session, frame, out));
+  net::FrameAssembler assembler;
+  assembler.append(out);
+  const auto reply = assembler.next();
+  ASSERT_TRUE(reply.has_value());
+  ASSERT_EQ(reply->type, static_cast<std::uint8_t>(bbwire::MsgType::kPosts));
+  const bbwire::PostsMsg posts =
+      bbwire::decode_posts(reply->payload, kWideIds, kWideIds);
+  ASSERT_EQ(posts.posts.size(), bbwire::kMaxPostsPerFrame);
+  EXPECT_EQ(posts.posts.front(), wide_batch(0).front());
+  EXPECT_FALSE(assembler.next().has_value()) << "more than one reply";
+  EXPECT_EQ(core.stats().errors, 0u);
   core.close_session(session);
 }
 
@@ -323,12 +404,14 @@ std::pair<bbwire::MsgType, std::string> only_reply(
   return {type, bbwire::decode_error(reply->payload).message};
 }
 
-/// In a child with little address space left: an open of n = m = 2^28
-/// through `on_bytes`, then through `apply_forwarded`, each followed by a
-/// small open on the same core. Exits 0 when every step answered as
-/// expected.
-[[noreturn]] void open_too_large_then_small() {
-  // Room for the small boards, far too little for a 2^28-slot ledger.
+/// In a child with little address space left: boards of n = m = 2^28
+/// open (their per-player state is sized on first commit), and the first
+/// commit to each, through `on_bytes` and then through `apply_forwarded`,
+/// cannot size its one-post-per-author check. Each failed commit is
+/// followed by a request that must still be served. Exits 0 when every
+/// step answered as expected.
+[[noreturn]] void commit_too_large_then_small() {
+  // Room for the small boards, far too little for 2^28 author slots.
   std::ifstream statm("/proc/self/statm");
   std::uint64_t pages = 0;
   statm >> pages;
@@ -342,40 +425,56 @@ std::pair<bbwire::MsgType, std::string> only_reply(
 
   const std::uint64_t huge = std::uint64_t{1} << 28;
   BillboardServerCore core;
-  const std::uint64_t session = core.open_session();
-  const auto open = [&](const bbwire::OpenMsg& msg) {
+  const auto send = [&](std::uint64_t session, auto encode) {
     std::vector<std::uint8_t> frame;
     std::vector<std::uint8_t> out;
-    bbwire::encode_open(frame, msg);
+    encode(frame);
     if (!core.on_bytes(session, frame, out)) std::_Exit(3);
     return only_reply(out);
   };
-  const auto forwarded_open = [&](std::uint64_t token,
-                                  const bbwire::OpenMsg& msg) {
+  const auto forward = [&](std::uint64_t token, auto encode) {
     std::vector<std::uint8_t> frame;
     std::vector<std::uint8_t> out;
-    bbwire::encode_open(frame, msg);
+    encode(frame);
     net::FrameAssembler assembler;
     assembler.append(frame);
     const auto parsed = assembler.next();
     core.apply_forwarded(token, parsed->type, parsed->payload, out);
     return only_reply(out);
   };
+  const auto open = [](bbwire::OpenMsg msg) {
+    return [msg](std::vector<std::uint8_t>& frame) {
+      bbwire::encode_open(frame, msg);
+    };
+  };
+  const Post post = make_post(0, 0, 0);
+  const auto commit = [&post](std::vector<std::uint8_t>& frame) {
+    bbwire::encode_commit(frame, 0, std::span<const Post>(&post, 1));
+  };
+  const auto stat = [](std::vector<std::uint8_t>& frame) {
+    bbwire::encode_stat(frame);
+  };
   bool ok = true;
-  const auto expect_error = [&](const auto& reply) {
+  const auto expect = [&](const auto& reply, bbwire::MsgType type) {
+    ok = ok && reply.first == type;
+  };
+  const auto expect_out_of_memory = [&](const auto& reply) {
     ok = ok && reply.first == bbwire::MsgType::kError &&
          contains(reply.second, "out of memory");
   };
-  expect_error(open({0, huge, huge, ""}));
-  expect_error(open({0, huge, huge, "big"}));
-  expect_error(forwarded_open(7, {0, huge, huge, "big"}));
-  ok = ok && core.stats().errors == 3 && core.stats().boards == 0;
-  // No half-built "big" was kept: the name opens with small dimensions,
-  // and the session that failed can still open a board.
-  ok = ok && open({0, 4, 4, "big"}).first == bbwire::MsgType::kOpenOk;
-  ok = ok && forwarded_open(7, {0, 4, 4, "big"}).first ==
-                 bbwire::MsgType::kOpenOk;
-  ok = ok && core.stats().boards == 1 && core.stats().errors == 3;
+  const std::uint64_t session = core.open_session();
+  expect(send(session, open({0, huge, huge, ""})), bbwire::MsgType::kOpenOk);
+  expect_out_of_memory(send(session, commit));
+  expect(send(session, stat), bbwire::MsgType::kStatOk);
+  expect(forward(7, open({0, huge, huge, "big"})), bbwire::MsgType::kOpenOk);
+  expect_out_of_memory(forward(7, commit));
+  expect(forward(7, stat), bbwire::MsgType::kStatOk);
+  ok = ok && core.stats().errors == 2 && core.stats().commits == 0;
+  // A small board on a new session commits as usual.
+  const std::uint64_t small = core.open_session();
+  expect(send(small, open({0, 4, 4, ""})), bbwire::MsgType::kOpenOk);
+  expect(send(small, commit), bbwire::MsgType::kCommitOk);
+  ok = ok && core.stats().commits == 1 && core.stats().errors == 2;
   std::_Exit(ok ? 0 : 1);
 }
 #endif
@@ -386,7 +485,7 @@ TEST(BillboardServerCore, FailedAllocationAnswersErrorAndKeepsServing) {
                   "this test takes away";
 #else
   testing::GTEST_FLAG(death_test_style) = "threadsafe";
-  EXPECT_EXIT(open_too_large_then_small(), testing::ExitedWithCode(0), "");
+  EXPECT_EXIT(commit_too_large_then_small(), testing::ExitedWithCode(0), "");
 #endif
 }
 

@@ -59,7 +59,7 @@ TEST(BillboardServiceTest, WindowQueriesUseFirstPositivePolicy) {
   EXPECT_EQ(service.votes_in_window(ObjectId{1}, 1, 2), 1);
   EXPECT_EQ(service.votes_in_window(ObjectId{3}, 0, 2), 0);  // negative vote
 
-  // The lazy ledger must track commits made after the first query.
+  // Each call counts the board as it stands, later commits included.
   service.commit_round(2, {make_post(3, 2, 1)});
   EXPECT_EQ(service.votes_in_window(ObjectId{1}, 0, 3), 3);
 

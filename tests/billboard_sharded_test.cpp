@@ -133,7 +133,7 @@ TEST(BillboardSharded, ForwardSeamRoutesWholeSessionToOwnerCore) {
             static_cast<std::uint8_t>(bbwire::MsgType::kOpenOk));
   EXPECT_EQ(owner.stats().boards, 1u);
 
-  // Every later frame of the session forwards too — commit, then query.
+  // Every later frame of the session forwards too — commit, then pull.
   frame.clear();
   const std::vector<Post> posts = {make_post(0, 1, 2), make_post(1, 1, 2)};
   bbwire::encode_commit(frame, 1, posts);
@@ -152,20 +152,15 @@ TEST(BillboardSharded, ForwardSeamRoutesWholeSessionToOwnerCore) {
   EXPECT_EQ(owner.stats().posts, 2u);
 
   frame.clear();
-  bbwire::WindowQueryMsg query;
-  query.object = 2;
-  query.begin = 0;
-  query.end = 5;
-  bbwire::encode_window_query(frame, query);
+  bbwire::encode_pull(frame, {0, 5});
   ASSERT_TRUE(home.on_bytes(session, frame, out, forward));
   ASSERT_EQ(mailbox.size(), 3u);
   reply.clear();
   owner.apply_forwarded(token, mailbox[2].type, mailbox[2].payload, reply);
   frames = parse_frames(reply);
   ASSERT_EQ(frames.size(), 1u);
-  ASSERT_EQ(frames[0].type,
-            static_cast<std::uint8_t>(bbwire::MsgType::kWindowCount));
-  EXPECT_EQ(bbwire::decode_window_count(frames[0].payload).count, 2u);
+  ASSERT_EQ(frames[0].type, static_cast<std::uint8_t>(bbwire::MsgType::kPosts));
+  EXPECT_EQ(bbwire::decode_posts(frames[0].payload, 4, 4).posts, posts);
 
   // Close: the home core names the owner to notify, the owner drops the
   // binding, and a stale token afterwards answers like an unopened
@@ -236,10 +231,9 @@ TEST_F(ShardedServer, CrossShardForwardingMatchesSingleThread) {
     }
     EXPECT_EQ(sharded_client.snapshot(), single_client.snapshot())
         << "board " << board;
-    for (std::size_t object = 0; object < 4; ++object) {
-      EXPECT_EQ(sharded_client.votes_in_window(ObjectId{object}, 0, 7),
-                single_client.votes_in_window(ObjectId{object}, 0, 7));
-    }
+    EXPECT_EQ(sharded_client.snapshot(),
+              single_client.board().posts().to_vector())
+        << "board " << board;
   }
   const auto stats = server_->stats();
   EXPECT_GT(stats.forwarded, 0u) << "workload never crossed a shard";
@@ -376,12 +370,8 @@ TEST_F(ShardedServer, PipelinedCommitsMatchSingleInflight) {
     single.commit_round(round, posts);
     pipelined.commit_round(round, posts);
   }
-  // votes_in_window drains the in-flight window before asking.
-  for (std::size_t object = 0; object < 4; ++object) {
-    EXPECT_EQ(pipelined.votes_in_window(ObjectId{object}, 0, 21),
-              single.votes_in_window(ObjectId{object}, 0, 21));
-  }
   EXPECT_EQ(pipelined.board().posts(), single.board().posts());
+  // snapshot() drains the in-flight window before it pulls.
   EXPECT_EQ(pipelined.snapshot(), single.snapshot());
 
   // A shared named board must clamp to depth 1: its ack bookkeeping
@@ -447,9 +437,10 @@ TEST(BillboardShardedPipeline, RejectionSurfacesOnLaterDrain) {
     remote.commit_round(1, {make_post(0, 1, 0)});
     remote.commit_round(2, {make_post(1, 2, 1)});
     EXPECT_EQ(remote.size(), 2u);
-    // The read forces the drain: ack #1 passes, ack #2 is the rejection.
+    // The snapshot forces the drain: ack #1 passes, ack #2 is the
+    // rejection.
     try {
-      (void)remote.votes_in_window(ObjectId{0}, 0, 3);
+      (void)remote.snapshot();
       FAIL() << "synthetic rejection never surfaced";
     } catch (const std::runtime_error& e) {
       EXPECT_TRUE(contains(e.what(), "synthetic divergence")) << e.what();

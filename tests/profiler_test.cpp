@@ -98,7 +98,7 @@ TEST(IoCounters, ChannelsAreRegistryCounters) {
   obs::meter_read(obs::IoChannel::kLedgerIngest, 1, 100);
   obs::meter_write(obs::IoChannel::kBillboardCommit, 2,
                    2 * obs::kPostWireBits);
-  obs::meter_read(obs::IoChannel::kWindowQuery, 1, 50);
+  obs::meter_read(obs::IoChannel::kLedgerWindow, 1, 50);
   obs::meter_transfer(obs::IoChannel::kGossipDelta, 64);
 
   EXPECT_EQ(io(obs::IoChannel::kLedgerIngest, "read_ops"), 1u);
@@ -108,7 +108,7 @@ TEST(IoCounters, ChannelsAreRegistryCounters) {
   EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "write_bits"),
             2 * obs::kPostWireBits);
   EXPECT_EQ(io(obs::IoChannel::kBillboardCommit, "read_bits"), 0u);
-  EXPECT_EQ(io(obs::IoChannel::kWindowQuery, "read_bits"), 50u);
+  EXPECT_EQ(io(obs::IoChannel::kLedgerWindow, "read_bits"), 50u);
   // A transfer is one write at the sender and one read at the receiver.
   for (const char* field : {"read_ops", "write_ops"}) {
     EXPECT_EQ(io(obs::IoChannel::kGossipDelta, field), 1u) << field;

@@ -118,8 +118,8 @@ int main(int argc, char** argv) {
       std::cerr << "acp_billboardd: " << strsignal(signal_number)
                 << " — shutting down (sessions=" << stats.sessions_opened
                 << " boards=" << stats.boards << " commits=" << stats.commits
-                << " posts=" << stats.posts << " queries=" << stats.queries
-                << " pulls=" << stats.pulls << " forwarded="
+                << " posts=" << stats.posts << " pulls=" << stats.pulls
+                << " forwarded="
                 << stats.forwarded << " errors=" << stats.errors << ")\n";
     }
     return 0;

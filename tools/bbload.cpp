@@ -2,7 +2,7 @@
 //
 // Opens many concurrent connections to a running acp_billboardd, joins one
 // shared replica board, and measures steady-state posts/sec plus the
-// window-query latency tail (see acp/billboard/loadgen.hpp for the phase
+// tail-pull read latency (see acp/billboard/loadgen.hpp for the phase
 // structure). The same engine backs the perf_substrate service bench, so
 // the numbers here are directly comparable to bench/BENCH_PERF.json.
 //
@@ -28,7 +28,7 @@ int usage(std::ostream& os, int code) {
         "  --clients N      concurrent connections (default 10000)\n"
         "  --batches B      commits per client (default 5)\n"
         "  --batch-posts P  posts per commit (default 10)\n"
-        "  --queries Q      timed window queries per client (default 5)\n"
+        "  --reads R        timed tail pulls per client (default 5)\n"
         "  --players N      shared-board player dimension (default 10000)\n"
         "  --objects M      shared-board object dimension (default 256)\n"
         "  --board NAME     shared board name (default bbload)\n"
@@ -40,7 +40,7 @@ int usage(std::ostream& os, int code) {
         "  --threads N      driver threads; clients split across them,\n"
         "                   stats merged (default 1)\n"
         "  --seed S         workload seed (default 1)\n"
-        "  --json           machine-readable acp.bbload.v1 report on stdout\n"
+        "  --json           machine-readable acp.bbload.v2 report on stdout\n"
         "  --help           this text\n";
   return code;
 }
@@ -82,8 +82,8 @@ int main(int argc, char** argv) {
         options.batches = parse_size(arg, value());
       } else if (arg == "--batch-posts") {
         options.batch_posts = parse_size(arg, value());
-      } else if (arg == "--queries") {
-        options.queries = parse_size(arg, value());
+      } else if (arg == "--reads") {
+        options.reads = parse_size(arg, value());
       } else if (arg == "--players") {
         options.players = parse_size(arg, value());
       } else if (arg == "--objects") {
@@ -124,17 +124,17 @@ int main(int argc, char** argv) {
     const acp::LoadgenReport report = acp::run_loadgen(options);
 
     if (json) {
-      std::cout << "{\"schema\":\"acp.bbload.v1\",\"endpoint\":\""
+      std::cout << "{\"schema\":\"acp.bbload.v2\",\"endpoint\":\""
                 << options.endpoint.to_string() << "\",\"pipeline\":"
                 << options.pipeline << ",\"threads\":" << options.threads
                 << ",\"boards\":" << boards << ",\"clients\":"
                 << report.clients_connected << ",\"posts\":" << report.posts
                 << ",\"post_seconds\":" << report.post_seconds
                 << ",\"posts_per_sec\":" << report.posts_per_sec
-                << ",\"queries\":" << report.queries
-                << ",\"query_seconds\":" << report.query_seconds
-                << ",\"query_p50_ns\":" << report.query_p50_ns
-                << ",\"query_p99_ns\":" << report.query_p99_ns
+                << ",\"reads\":" << report.reads
+                << ",\"read_seconds\":" << report.read_seconds
+                << ",\"read_p50_ns\":" << report.read_p50_ns
+                << ",\"read_p99_ns\":" << report.read_p99_ns
                 << ",\"errors\":" << report.errors << "}\n";
     } else {
       std::cout << "bbload: " << options.endpoint.to_string() << "\n"
@@ -144,10 +144,10 @@ int main(int argc, char** argv) {
                 << report.post_seconds << " s  ("
                 << static_cast<std::uint64_t>(report.posts_per_sec)
                 << " posts/sec)\n"
-                << "  queries      " << report.queries << " in "
-                << report.query_seconds << " s\n"
-                << "  query p50    " << report.query_p50_ns << " ns\n"
-                << "  query p99    " << report.query_p99_ns << " ns\n"
+                << "  reads        " << report.reads << " in "
+                << report.read_seconds << " s\n"
+                << "  read p50     " << report.read_p50_ns << " ns\n"
+                << "  read p99     " << report.read_p99_ns << " ns\n"
                 << "  errors       " << report.errors << "\n";
     }
     // Errors mean the measurement is suspect: fail loudly so CI notices.
